@@ -64,9 +64,7 @@
 #include "core/service/spec.h"
 #include "core/shard/supervisor.h"
 #include "core/shutdown.h"
-#include "sim/dispatch.h"
 #include "sim/machine.h"
-#include "sim/program.h"
 #include "table.h"
 
 namespace sim = hwsec::sim;
@@ -95,11 +93,6 @@ std::atomic<std::uint64_t> g_run_ns{0};
 std::atomic<std::uint64_t> g_timed_trials{0};
 std::atomic<bool> g_record_breakdown{false};
 
-/// When >= 0, every trial pins its CPU to this DispatchBackend right after
-/// acquiring the machine (pool resets restore the env-selected default, so
-/// the pin must be re-applied per lease). Drives the per-backend rows.
-std::atomic<int> g_backend_override{-1};
-
 TrialResult spectre_trial(const core::TrialContext& ctx) {
   const auto t0 = std::chrono::steady_clock::now();
   // Machine acquisition is the "setup" under test: a pool reset-reuse when
@@ -107,9 +100,6 @@ TrialResult spectre_trial(const core::TrialContext& ctx) {
   auto machine_lease =
       core::acquire_machine(ctx.machines, sim::MachineProfile::mobile(), ctx.seed);
   sim::Machine& machine = *machine_lease;
-  if (const int backend = g_backend_override.load(std::memory_order_relaxed); backend >= 0) {
-    machine.cpu(0).set_dispatch_backend(static_cast<sim::DispatchBackend>(backend));
-  }
   const auto t1 = std::chrono::steady_clock::now();
   obs::Span body_span("trial_body", static_cast<std::int64_t>(ctx.index), "trial");
   attacks::SpectreV1 spectre(machine, 0);
@@ -377,91 +367,6 @@ int main(int argc, char** argv) {
             << "machine pool: " << machine_pool.machines_built() << " built, "
             << machine_pool.leases_served() << " leases served\n";
 
-  // ---- per-dispatch-backend rows ---------------------------------------
-  // Two measurements per backend: the full Spectre campaign (sequential),
-  // whose result vector must also match the default-backend baseline bit
-  // for bit — a whole-campaign differential check — and a dense ALU/branch
-  // loop that isolates the dispatch engine itself (the campaign trial is
-  // cache-model-bound, so backend differences mostly wash out of it).
-  struct BackendPoint {
-    sim::DispatchBackend backend = sim::DispatchBackend::kUops;
-    double trials_per_sec = 0.0;
-    bool bit_identical = false;
-    double mips = 0.0;  // dense-loop committed instructions per microsecond... see below.
-  };
-  std::vector<BackendPoint> backends;
-  {
-    constexpr sim::VirtAddr kLoopCode = 0x10000;
-    sim::ProgramBuilder lb(kLoopCode);
-    lb.li(sim::R1, 0).li(sim::R3, 20000);
-    lb.label("loop")
-        .addi(sim::R1, sim::R1, 1)
-        .add(sim::R4, sim::R1, sim::R3)
-        .xori(sim::R5, sim::R4, 0x5A)
-        .shli(sim::R6, sim::R5, 3)
-        .shri(sim::R7, sim::R6, 2)
-        .or_(sim::R8, sim::R7, sim::R1)
-        .sub(sim::R9, sim::R8, sim::R1)
-        .andi(sim::R10, sim::R9, 0xFFFF)
-        .br(sim::BranchCond::kLtu, sim::R1, sim::R3, "loop")
-        .halt();
-    const sim::Program loop_prog = lb.build();
-
-    hwsec::bench::section("dispatch backends: campaign + dense-loop comparison");
-    Table bt({"backend", "trials/sec", "bit-identical", "loop Minstr/s"}, {9, 12, 14, 14});
-    bt.print_header();
-    for (const sim::DispatchBackend backend :
-         {sim::DispatchBackend::kUops, sim::DispatchBackend::kSwitch}) {
-      if (core::shutdown_requested()) {
-        break;
-      }
-      BackendPoint bp;
-      bp.backend = backend;
-
-      g_backend_override.store(static_cast<int>(backend));
-      const auto start = std::chrono::steady_clock::now();
-      const auto outcomes = core::run_campaign_resilient<TrialResult>(
-          {.seed = 2019, .trials = trials, .workers = 1}, {.machines = &machine_pool},
-          spectre_trial);
-      const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
-      g_backend_override.store(-1);
-      std::vector<TrialResult> results;
-      results.reserve(outcomes.size());
-      for (const auto& o : outcomes) {
-        if (o.ok()) {
-          results.push_back(o.value());
-        }
-      }
-      bp.trials_per_sec = static_cast<double>(trials) / elapsed.count();
-      bp.bit_identical = results == baseline;
-
-      // Dense loop: fresh single machine, identity-mapped code page; best
-      // of three runs so a scheduler hiccup can't understate a backend.
-      for (int rep = 0; rep < 3; ++rep) {
-        sim::Machine machine(sim::MachineProfile::mobile(), 2019);
-        sim::AddressSpace aspace = machine.create_address_space();
-        for (sim::VirtAddr va = kLoopCode; va < kLoopCode + 2 * sim::kPageSize;
-             va += sim::kPageSize) {
-          aspace.map(va, va, sim::pte::kUser | sim::pte::kExecutable);
-        }
-        sim::Cpu& cpu = machine.cpu(0);
-        cpu.set_dispatch_backend(backend);
-        cpu.load_program(loop_prog);
-        cpu.switch_context(sim::kDomainNormal, sim::Privilege::kSupervisor, aspace.root(), 1);
-        const auto t0 = std::chrono::steady_clock::now();
-        const auto run = cpu.run_from(kLoopCode, 400000);
-        const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
-        const double mips = static_cast<double>(run.executed) / dt.count() / 1e6;
-        bp.mips = std::max(bp.mips, mips);
-      }
-      backends.push_back(bp);
-      bt.print_row(sim::to_string(backend), bp.trials_per_sec,
-                   bp.bit_identical ? "YES" : "DIVERGED", bp.mips);
-    }
-    std::cout << "(bit-identical compares each backend's full campaign result vector\n"
-                 " against the workers=1 baseline — a whole-campaign differential)\n";
-  }
-
   // ---- sharded multi-process supervisor --------------------------------
   // Same engine, process-level parallelism: fork N workers, feed shards
   // over pipes, merge by trial index. Every row must be bit-identical to
@@ -709,19 +614,6 @@ int main(int argc, char** argv) {
        << "  \"setup_fraction\": " << setup_fraction << ",\n"
        << "  \"pool_machines_built\": " << machine_pool.machines_built() << ",\n"
        << "  \"pool_leases_served\": " << machine_pool.leases_served() << ",\n"
-       << "  \"dispatch_backend\": \"" << sim::to_string(sim::dispatch_backend_from_env())
-       << "\",\n"
-       << "  \"dispatch_backends\": [\n";
-  for (std::size_t i = 0; i < backends.size(); ++i) {
-    const BackendPoint& bp = backends[i];
-    all_deterministic = all_deterministic && bp.bit_identical;
-    json << "    {\"backend\": \"" << sim::to_string(bp.backend)
-         << "\", \"trials_per_sec\": " << bp.trials_per_sec
-         << ", \"bit_identical\": " << (bp.bit_identical ? "true" : "false")
-         << ", \"loop_minstr_per_sec\": " << bp.mips << "}"
-         << (i + 1 < backends.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n"
        << "  \"scaling\": [\n";
   for (std::size_t i = 0; i < curve.size(); ++i) {
     const Point& p = curve[i];

@@ -215,7 +215,7 @@ bool ReferenceInterpreter::step() {
   const sim::VirtAddr pc = res_.pc;
 
   // Fetch: translate, (bare) MPU fetch gate, bus bounds + firewall,
-  // decoded-instruction lookup — the Cpu::step order.
+  // decoded-instruction lookup — the CPU core's order.
   const Translated ftr = translate(pc, sim::AccessType::kExecute);
   if (ftr.fault != sim::Fault::kNone) {
     raise({ftr.fault, pc, pc, sim::AccessType::kExecute});
@@ -251,7 +251,7 @@ bool ReferenceInterpreter::step() {
     case sim::Opcode::kNop:
       break;
     case sim::Opcode::kHalt:
-      res_.pc = pc;  // Cpu::step returns before the pc update on halt.
+      res_.pc = pc;  // the CPU commits halt without a pc update.
       return false;
     case sim::Opcode::kLoadImm: alu(imm); break;
     case sim::Opcode::kAdd: alu(reg(inst->rs1) + reg(inst->rs2)); break;

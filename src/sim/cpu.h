@@ -41,8 +41,6 @@
 #include <memory>
 
 #include "sim/bus.h"
-#include "sim/dispatch.h"
-#include "sim/dvfs.h"
 #include "sim/isa.h"
 #include "sim/mmu.h"
 #include "sim/mpu.h"
@@ -133,14 +131,6 @@ class Cpu {
   /// pristine snapshot, so pooled trials never re-decode a program.
   void set_uop_cache(UopCache* cache) { uop_cache_ = cache; }
 
-  /// Overrides the commit-loop interpreter for this core (tests and
-  /// per-backend benchmarking; normal construction follows HWSEC_DISPATCH).
-  void set_dispatch_backend(DispatchBackend backend) {
-    dirty_ = true;
-    backend_ = backend;
-  }
-  DispatchBackend dispatch_backend() const { return backend_; }
-
   // -- architectural state ----------------------------------------------
   Word reg(Reg r) const { return r == kZero ? 0 : regs_[r]; }
   void set_reg(Reg r, Word value) {
@@ -185,11 +175,6 @@ class Cpu {
     dirty_ = true;
     cf_hook_ = std::move(h);
     has_cf_hook_ = static_cast<bool>(cf_hook_);
-  }
-  /// Glitch injector applied to committed ALU results (CLKSCREW et al.).
-  void set_fault_injector(FaultInjector* injector) {
-    dirty_ = true;
-    injector_ = injector;
   }
   void set_mpu(const Mpu* mpu) {
     dirty_ = true;
@@ -241,39 +226,46 @@ class Cpu {
   bool dirty() const { return dirty_; }
 
  private:
-  struct StepOutcome {
-    bool halt = false;
-    bool fault_stop = false;
-    Fault fault = Fault::kNone;
-  };
-
   /// Why the micro-op core handed control back to run().
   enum class UopExit : std::uint8_t {
     kDone,    ///< run finished (halt, fault stop, or budget exhausted).
-    kStep,    ///< execute exactly one instruction via step(), then re-enter.
-    kResync,  ///< a fault handler ran; re-evaluate hooks/backend and re-enter.
+    kResync,  ///< a fault or ecall handler ran; re-select the specialization.
   };
 
-  const Instruction* instruction_at(VirtAddr pc) const;
-  StepOutcome step();
-  RunResult run_switch(std::uint64_t max_instructions);
+  /// The decoded program serving `pc` under the active ASID, or nullptr.
+  /// An array index into the flat fetch table when the layout allows one,
+  /// otherwise the load-order scan.
+  const DecodedProgram* program_at(VirtAddr pc) const {
+    if (!fetch_valid_ || fetch_asid_ != mmu_.asid()) {
+      rebuild_fetch_table();
+    }
+    if (!fetch_flat_ok_) {
+      return scan_program_at(pc);
+    }
+    const VirtAddr off = pc - fetch_lo_;  // below-lo pcs wrap to huge offsets.
+    if ((off & 3u) != 0 || (off >> 2) >= fetch_slots_.size()) {
+      return nullptr;
+    }
+    const std::uint32_t p = fetch_slots_[off >> 2];
+    return p == kNoSlot ? nullptr : programs_[p].decoded.get();
+  }
+  const DecodedProgram* scan_program_at(VirtAddr pc) const;
 
-  /// Micro-op commit loop (sim/dispatch.cpp). Hooked=false is the
-  /// branchless fast path, entered only when no leak hook, no control-flow
-  /// hook and no watchdog is armed (the MPU and the glitch injector force
-  /// the legacy interpreter outright); Hooked=true keeps micro-op dispatch
-  /// but re-validates hook state and polls the watchdog per instruction.
-  /// Updates `result` in place; `pc_` is materialized at every point where
-  /// host code (hooks, handlers, thrown errors) can observe it.
+  /// Micro-op commit loop (sim/dispatch.cpp), the only engine that commits
+  /// instructions. Hooked=false is the branchless fast path, entered only
+  /// when no leak hook, control-flow hook, watchdog or MPU is armed;
+  /// Hooked=true adds the hook calls, the per-instruction watchdog poll and
+  /// the EA-MPU fetch and data checks. Updates `result` in place; `pc_` is
+  /// materialized at every point where host code (hooks, handlers, thrown
+  /// errors) can observe it.
   template <bool Hooked>
   UopExit run_uops(RunResult& result, std::uint64_t max_instructions);
 
   /// Throws SimError(kTimedOut) if the armed watchdog tripped.
   void check_watchdog(std::uint64_t executed) const;
-  /// Raises `info` through the fault handler; fills StepOutcome.
-  StepOutcome raise(const FaultInfo& info);
-  void leak_value(Word value);
-  Word alu_result(Word value);  ///< applies the glitch injector.
+  /// Raises `info` through the fault handler; returns true when the run
+  /// stops at this fault (no handler, or FaultAction::kHalt).
+  bool raise(const FaultInfo& info);
   void note_service(ServiceLevel level);
 
   /// Runs the transient window starting at `start_pc` with a copy of the
@@ -292,7 +284,6 @@ class Cpu {
   Mmu mmu_;
   BranchPredictor predictor_;
   const Mpu* mpu_ = nullptr;
-  FaultInjector* injector_ = nullptr;
   const TrialWatchdog* watchdog_ = nullptr;
 
   std::array<Word, kNumRegs> regs_{};
@@ -304,8 +295,8 @@ class Cpu {
 
   struct LoadedProgram {
     /// Immutable decoded form, shared across machines via the UopCache.
-    /// instruction_at and the transient-window executor serve from
-    /// decoded->code; the micro-op core executes decoded->uops.
+    /// The transient-window executor serves from decoded->code; the
+    /// micro-op core executes decoded->uops.
     std::shared_ptr<const DecodedProgram> decoded;
     std::optional<Asid> asid;
     VirtAddr base = 0;  ///< cached decoded->base (avoids an indirection on reject).
@@ -313,7 +304,6 @@ class Cpu {
   };
   std::vector<LoadedProgram> programs_;
   UopCache* uop_cache_ = nullptr;
-  DispatchBackend backend_ = DispatchBackend::kUops;
 
   /// Fetch memo: replays the side effects of an instruction fetch whose
   /// translation hit the TLB and whose line hit the L1I, without
@@ -322,9 +312,9 @@ class Cpu {
   /// monotonic (including across snapshot restores), so "all epochs
   /// unchanged and same context word" proves bit-for-bit that the full
   /// path would produce the same latency, stats deltas and LRU/PLRU
-  /// touches the replay applies. Armed only when the bus has no firewall
-  /// checks and the MMU is translating (bare-mode cores take the MPU /
-  /// legacy path anyway).
+  /// touches the replay applies. Armed only when the core has an L1I, the
+  /// bus has no firewall checks and the MMU is translating — never on the
+  /// bare-mode, cacheless MPU cores, so the EA-MPU sees every fetch.
   struct FetchMemo {
     VirtAddr pc = ~VirtAddr{0};  ///< sentinel: misaligned, never matches.
     PhysAddr phys = 0;
@@ -348,12 +338,12 @@ class Cpu {
 
   /// Flat fetch table: slot (pc - fetch_lo_) >> 2 holds the index of the
   /// program serving that pc (kNoSlot: no program). Built lazily for the
-  /// programs visible under the current ASID, making instruction_at an
-  /// array index instead of a range scan. Slots hold indices rather than
-  /// Instruction pointers so a copied Cpu (machine snapshots) carries a
-  /// table that is valid against its own programs_ vector. Invalidated on
-  /// load_program/clear_programs/switch_context; ASID changes applied
-  /// directly at the MMU are caught by the fetch_asid_ check. Programs
+  /// programs visible under the current ASID, making program_at an array
+  /// index instead of a range scan. Slots hold indices rather than
+  /// pointers so a copied Cpu (machine snapshots) carries a table that is
+  /// valid against its own programs_ vector. Invalidated on
+  /// load_program/clear_programs; ASID changes (switch_context or direct
+  /// MMU writes) are caught by the fetch_asid_ check. Programs
   /// with misaligned bases or a pathologically wide address spread fall
   /// back to the load-order linear scan (fetch_flat_ok_ == false).
   void rebuild_fetch_table() const;

@@ -1,23 +1,21 @@
-// Micro-op commit loop (the HWSEC_DISPATCH=uops backend) and backend
-// selection.
+// Micro-op commit loop: the CPU's only instruction-commit engine.
 //
 // Cpu::run_uops executes predecoded micro-ops with computed-goto threaded
 // dispatch on GCC/Clang (a plain switch elsewhere — same handler bodies,
-// selected by the UOP_LABEL macro). The handlers are exact transcriptions
-// of the corresponding cases in Cpu::step(): every cycle add, stats
-// increment, predictor update and hook invocation happens in the same
-// order, which is what the conformance fuzzer's uops-vs-switch
-// differential verifies.
+// selected by the UOP_LABEL macro). Every cycle add, stats increment,
+// predictor update and hook invocation happens in a fixed order; the
+// conformance fuzzer diffs the outcome against the independent reference
+// oracle (src/conformance/reference.cpp), and tests/test_cpu.cpp pins
+// complete outcomes for the fault, transient, ecall and EA-MPU paths.
 //
 // The loop leans on three structural guarantees:
 //  * pc_ is canonical: read at the top of every instruction, written on
 //    every commit, and materialized before any host code (fault handlers,
-//    thrown watchdog errors) can observe it — so handlers see exactly the
-//    state the legacy interpreter would show them.
-//  * anything the micro-op core cannot replay bit-exactly defers to the
-//    generic interpreter for one instruction (UopExit::kStep): ecalls,
-//    pcs the flat fetch table cannot resolve, non-flat program layouts.
-//  * after any fault handler runs (UopExit::kResync) the caller
+//    ecall handlers, thrown watchdog errors) can observe it.
+//  * every instruction takes the same translate -> MPU -> bus fetch path
+//    (or its memo replay); a pc no program covers still fetches, then
+//    raises a bus error without becoming the MPU's previous fetch.
+//  * after any fault or ecall handler runs (UopExit::kResync) the caller
 //    re-evaluates the hook configuration before re-entering, because
 //    handlers may arm hooks, swap programs, or switch context.
 //
@@ -30,32 +28,9 @@
 // any two instructions — plus a packed context word (ASID, domain,
 // privilege, bus-firewall presence) that covers the translation predicate.
 
-#include "sim/dispatch.h"
-
-#include <cstdlib>
-
 #include "sim/cpu.h"
 
 namespace hwsec::sim {
-
-std::string to_string(DispatchBackend backend) {
-  switch (backend) {
-    case DispatchBackend::kUops: return "uops";
-    case DispatchBackend::kSwitch: return "switch";
-  }
-  return "?";
-}
-
-DispatchBackend dispatch_backend_from_env() {
-  static const DispatchBackend resolved = [] {
-    const char* env = std::getenv("HWSEC_DISPATCH");
-    if (env != nullptr && std::string(env) == "switch") {
-      return DispatchBackend::kSwitch;
-    }
-    return DispatchBackend::kUops;
-  }();
-  return resolved;
-}
 
 // Computed-goto dispatch where the extension exists; identical handler
 // bodies compile as a switch elsewhere. Every handler ends in an explicit
@@ -63,26 +38,22 @@ DispatchBackend dispatch_backend_from_env() {
 #if defined(__GNUC__) || defined(__clang__)
 #define HWSEC_UOP_GOTO 1
 #define UOP_LABEL(k) u_##k:
-#define UOP_DEFAULT
 #else
 #define HWSEC_UOP_GOTO 0
 #define UOP_LABEL(k) case UopKind::k:
-#define UOP_DEFAULT \
-  default: return UopExit::kStep;
 #endif
 
-// Raises a fault exactly as the legacy run loop would observe it: the
-// faulting instruction counts as executed, a kHalt action ends the run,
-// and any continue action forces a resync (the handler may have changed
-// hooks, programs, or context).
+// Raises a fault: the faulting instruction counts as executed, a stopping
+// fault ends the run, and any continue action forces a resync (the handler
+// may have changed hooks, programs, or context).
 #define UOP_RAISE(f, a, t)                                                      \
   do {                                                                          \
     pc_ = pc;                                                                   \
-    const StepOutcome ro =                                                      \
-        raise({.fault = (f), .pc = pc, .addr = (a), .type = (t)});              \
+    const Fault rf = (f);                                                       \
+    const bool stop = raise({.fault = rf, .pc = pc, .addr = (a), .type = (t)}); \
     ++result.executed;                                                          \
-    if (ro.fault_stop) {                                                        \
-      result.stop_fault = ro.fault;                                             \
+    if (stop) {                                                                 \
+      result.stop_fault = rf;                                                   \
       return UopExit::kDone;                                                    \
     }                                                                           \
     return UopExit::kResync;                                                    \
@@ -108,47 +79,31 @@ Cpu::UopExit Cpu::run_uops(RunResult& result, std::uint64_t max_instructions) {
 
   while (result.executed < max_instructions) {
     if constexpr (Hooked) {
-      // Same committed-instruction schedule as the legacy loop: the cycle
-      // budget is checked before every instruction and the asynchronous
-      // cancel flag is polled when (executed & 0x3FF) == 0, so TimedOut
-      // attribution is identical across backends. (Unhooked runs have no
-      // watchdog by construction — arming one selects Hooked.)
+      // The cycle budget is checked before every instruction and the
+      // asynchronous cancel flag is polled when (executed & 0x3FF) == 0,
+      // so TimedOut attribution is a pure function of the trial.
+      // (Unhooked runs have no watchdog by construction — arming one
+      // selects Hooked.)
       if (watchdog_ != nullptr) {
         check_watchdog(result.executed);
       }
     }
-    if (!fetch_valid_ || fetch_asid_ != mmu_.asid()) {
-      rebuild_fetch_table();
-    }
-    if (!fetch_flat_ok_) {
-      return UopExit::kStep;  // misaligned/spread-out programs: legacy scan.
-    }
     const VirtAddr pc = pc_;
 
     // ---- resolve the micro-op (pure lookup, no side effects) -----------
-    const Uop* u = nullptr;
-    {
-      const VirtAddr off = pc - fetch_lo_;  // below-lo pcs wrap to huge offsets.
-      if ((off & 3u) == 0 && (off >> 2) < fetch_slots_.size()) {
-        const std::uint32_t p = fetch_slots_[off >> 2];
-        if (p != kNoSlot) {
-          const LoadedProgram& lp = programs_[p];
-          u = &lp.decoded->uops[(pc - lp.base) >> 2];
-        }
-      }
-    }
-    if (u == nullptr || u->kind == UopKind::kEcall) {
-      // Unresolvable pc: step() owns the fault ordering (translate and
-      // fetch fault before the missing-instruction bus error). Ecall:
-      // the handler may mutate anything, so the generic path runs it.
-      return UopExit::kStep;
-    }
+    const DecodedProgram* program = program_at(pc);
+    const Uop* u = program != nullptr ? &program->uops[(pc - program->base) >> 2] : nullptr;
 
     // ---- fetch ----------------------------------------------------------
+    // An unresolved pc never replays: it takes the full path below so its
+    // translate/MPU/fetch faults precede the bus error. Cores without an
+    // L1I never arm the memo; MPU cores are among them (and bare-mode), so
+    // check_fetch sees every fetch.
     const DomainId domain = mmu_.domain();
     const std::uint64_t ctx = fetch_ctx();
     FetchMemo& memo = fetch_memo_[(pc >> 2) & (kFetchMemoSlots - 1)];
-    if (memo.pc == pc && memo.ctx == ctx && memo.tlb_epoch == tlb.removal_epoch() &&
+    if (u != nullptr && l1i != nullptr && memo.pc == pc && memo.ctx == ctx &&
+        memo.tlb_epoch == tlb.removal_epoch() &&
         memo.l1i_epoch == l1i->removal_epoch() &&
         memo.excl_epoch == caches.exclusion_epoch()) {
       // Bit-exact replay of the TLB-hit + L1I-hit fetch path.
@@ -162,11 +117,22 @@ Cpu::UopExit Cpu::run_uops(RunResult& result, std::uint64_t max_instructions) {
       if (ftr.fault != Fault::kNone) {
         UOP_RAISE(ftr.fault, pc, AccessType::kExecute);
       }
+      if constexpr (Hooked) {
+        if (mpu_ != nullptr) {
+          const Fault f = mpu_->check_fetch(ftr.phys, prev_fetch_phys_);
+          if (f != Fault::kNone) {
+            UOP_RAISE(f, pc, AccessType::kExecute);
+          }
+        }
+      }
       const BusResult fetch =
           bus_->cpu_fetch(config_.id, domain, mmu_.privilege(), ftr.phys);
       cycles_ += fetch.latency;
       if (fetch.fault != Fault::kNone) {
         UOP_RAISE(fetch.fault, pc, AccessType::kExecute);
+      }
+      if (u == nullptr) {
+        UOP_RAISE(Fault::kBusError, pc, AccessType::kExecute);
       }
       prev_fetch_phys_ = ftr.phys;
       // Arm the memo: after a successful cacheable fetch the translation
@@ -196,9 +162,8 @@ Cpu::UopExit Cpu::run_uops(RunResult& result, std::uint64_t max_instructions) {
 
     VirtAddr next_pc = pc + 4;
 
-    // No injector on this backend (it forces the legacy interpreter), so
-    // a committed ALU result is the value itself. regs_[0] is invariantly
-    // zero (every write path guards kZero), so reads skip the guard.
+    // regs_[0] is invariantly zero (every write path guards kZero), so
+    // reads skip the guard.
     const auto commit_alu = [&](std::uint8_t rd, Word value) {
       if (rd != 0) {
         regs_[rd] = value;
@@ -222,8 +187,8 @@ Cpu::UopExit Cpu::run_uops(RunResult& result, std::uint64_t max_instructions) {
         goto u_commit;
       }
       UOP_LABEL(kHalt) {
-        // Legacy halt returns before the pc update: pc_ stays at the halt
-        // instruction, which it already does here (canonical pc_).
+        // Halt commits without a pc update: pc_ stays at the halt
+        // instruction (canonical pc_).
         ++result.executed;
         result.halted = true;
         return UopExit::kDone;
@@ -301,6 +266,14 @@ Cpu::UopExit Cpu::run_uops(RunResult& result, std::uint64_t max_instructions) {
           }
           UOP_RAISE(tr.fault, va, AccessType::kRead);
         }
+        if constexpr (Hooked) {
+          if (mpu_ != nullptr) {
+            const Fault f = mpu_->check(tr.phys, AccessType::kRead, prev_fetch_phys_);
+            if (f != Fault::kNone) {
+              UOP_RAISE(f, va, AccessType::kRead);
+            }
+          }
+        }
         const BusResult br = byte_load
             ? bus_->cpu_read8(config_.id, mmu_.domain(), mmu_.privilege(), tr.phys)
             : bus_->cpu_read(config_.id, mmu_.domain(), mmu_.privilege(), tr.phys);
@@ -331,6 +304,14 @@ Cpu::UopExit Cpu::run_uops(RunResult& result, std::uint64_t max_instructions) {
         cycles_ += tr.latency;
         if (tr.fault != Fault::kNone) {
           UOP_RAISE(tr.fault, va, AccessType::kWrite);
+        }
+        if constexpr (Hooked) {
+          if (mpu_ != nullptr) {
+            const Fault f = mpu_->check(tr.phys, AccessType::kWrite, prev_fetch_phys_);
+            if (f != Fault::kNone) {
+              UOP_RAISE(f, va, AccessType::kWrite);
+            }
+          }
         }
         const Word value = regs_[u->rs2];
         const BusResult br = byte_store
@@ -451,9 +432,18 @@ Cpu::UopExit Cpu::run_uops(RunResult& result, std::uint64_t max_instructions) {
         goto u_commit;
       }
       UOP_LABEL(kEcall) {
-        return UopExit::kStep;  // unreachable: filtered before dispatch.
+        // Trap entry, then the host-side handler, which may change
+        // anything (hooks, programs, context): hence the resync.
+        cycles_ += 20;
+        pc_ = pc + 4;
+        ++result.executed;
+        if (!ecall_) {
+          result.halted = true;
+          return UopExit::kDone;
+        }
+        ecall_(*this, u->imm);
+        return UopExit::kResync;
       }
-      UOP_DEFAULT
     }
 
   u_commit_cf:

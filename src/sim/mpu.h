@@ -51,17 +51,18 @@ struct MpuRegion {
 
 class Mpu {
  public:
-  /// Adds a region. Throws std::logic_error if the MPU is locked and
-  /// std::invalid_argument on an empty/overlapping region (overlap is
-  /// rejected because precedence rules are exactly the kind of subtle
-  /// hardware behaviour this model does not want to hide bugs in).
+  /// Adds a region. Throws SimError(kConfigError) if the MPU is locked,
+  /// or on an empty, half-gated or overlapping region (overlap is rejected
+  /// because precedence rules are exactly the kind of subtle hardware
+  /// behaviour this model does not want to hide bugs in).
   std::size_t add_region(MpuRegion region);
 
-  /// Removes all regions. Throws if locked.
+  /// Removes all regions. Throws SimError(kConfigError) if locked.
   void clear();
 
   /// Removes the region named `name` (Sancus-style dynamic module
-  /// teardown). Throws if locked; returns whether a region was removed.
+  /// teardown). Throws SimError(kConfigError) if locked; returns whether a
+  /// region was removed.
   bool remove_region(const std::string& name);
 
   /// Locks the configuration until reset().

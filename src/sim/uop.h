@@ -1,14 +1,13 @@
 // Predecoded micro-op representation of a Program.
 //
-// The legacy interpreter resolves every committed instruction through
-// `instruction_at` and a 30-way opcode switch over the full Instruction
-// struct (64-bit immediate, branch cond, three register fields). Campaign
-// profiles showed that after PR 3 killed per-trial setup cost, this
-// decode-dispatch loop *was* the campaign. A DecodedProgram lowers each
-// Instruction once, at load time, into a dense 12-byte micro-op with the
-// immediate pre-cast to the 32-bit machine word and shift amounts
-// pre-masked, so the dispatch core (sim/dispatch.cpp) touches exactly one
-// cache line per op and never re-derives operand fields.
+// Re-deriving operands from the full Instruction struct (64-bit immediate,
+// branch cond, three register fields) on every committed instruction made
+// the decode-dispatch loop the dominant campaign cost once per-trial setup
+// was cheap. A DecodedProgram lowers each Instruction once, at load time,
+// into a dense 12-byte micro-op with the immediate pre-cast to the 32-bit
+// machine word and shift amounts pre-masked, so the dispatch core
+// (sim/dispatch.cpp) touches exactly one cache line per op and never
+// re-derives operand fields.
 //
 // Decoded programs are immutable and shared: the UopCache keys them by
 // program content, so the machine pool decodes each distinct attack
@@ -82,8 +81,8 @@ struct Uop {
 };
 
 /// A Program lowered to micro-ops. Keeps the original instruction vector
-/// (the transient-window executor and instruction_at still serve from it)
-/// but drops the label map, which trials never consult after load.
+/// (the transient-window executor still serves from it) but drops the
+/// label map, which trials never consult after load.
 struct DecodedProgram {
   VirtAddr base = 0;
   VirtAddr end = 0;  ///< base + 4 * code.size().

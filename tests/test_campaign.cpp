@@ -16,7 +16,6 @@
 #include "core/machine_pool.h"
 #include "core/resilience/resilient.h"
 #include "sca/cpa.h"
-#include "sim/dispatch.h"
 #include "sim/machine.h"
 #include "sim/rng.h"
 #include "sim/thread_pool.h"
@@ -175,17 +174,13 @@ TEST(Campaign, AttackProbeTrialsBitIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(spectre_campaign(8), sequential);
 }
 
-// ---- dispatch-backend campaign identity --------------------------------
+// ---- pinned campaign outcomes -------------------------------------------
 
-std::vector<SpectreOutcome> spectre_campaign_backend(sim::DispatchBackend backend,
-                                                     core::MachinePool* pool) {
+std::vector<SpectreOutcome> spectre_campaign_leased(core::MachinePool* pool) {
   const auto outcomes = core::run_campaign_resilient<SpectreOutcome>(
       {.seed = 7, .trials = 24, .workers = 1}, {.machines = pool},
-      [backend](const core::TrialContext& ctx) {
+      [](const core::TrialContext& ctx) {
         auto lease = core::acquire_machine(ctx.machines, sim::MachineProfile::mobile(), ctx.seed);
-        // Pool resets restore the env-selected default backend, so the
-        // override must be re-applied after every acquisition.
-        lease->cpu(0).set_dispatch_backend(backend);
         attacks::SpectreV1 spectre(*lease, 0);
         const sim::Word index = spectre.plant_secret("K");
         const auto byte = spectre.leak_byte(index);
@@ -198,19 +193,18 @@ std::vector<SpectreOutcome> spectre_campaign_backend(sim::DispatchBackend backen
   return results;
 }
 
-/// Whole-campaign differential: the Spectre trial under the micro-op core
-/// must reproduce the legacy interpreter's outcome vector bit for bit —
-/// with and without the pooled decoded-program cache in the loop.
-TEST(Campaign, OutcomesBitIdenticalAcrossDispatchBackends) {
-  const auto uops = spectre_campaign_backend(sim::DispatchBackend::kUops, nullptr);
-  const auto legacy = spectre_campaign_backend(sim::DispatchBackend::kSwitch, nullptr);
-  ASSERT_EQ(uops.size(), 24u);
-  EXPECT_EQ(uops, legacy);
+/// Whole-campaign check of the micro-op core: the Spectre trial reproduces
+/// the outcome vector recorded from the per-step switch interpreter it
+/// replaced (every trial leaks 'K'), with and without the pooled
+/// decoded-program cache in the loop.
+TEST(Campaign, OutcomesMatchPinnedRecording) {
+  const std::vector<SpectreOutcome> recorded(24, SpectreOutcome{true, 'K'});
+  const auto fresh = spectre_campaign_leased(nullptr);
+  EXPECT_EQ(fresh, recorded);
 
   core::MachinePool pool;
-  EXPECT_EQ(spectre_campaign_backend(sim::DispatchBackend::kUops, &pool), uops)
+  EXPECT_EQ(spectre_campaign_leased(&pool), fresh)
       << "pooled machines (shared UopCache, snapshot reset-reuse) must not diverge";
-  EXPECT_EQ(spectre_campaign_backend(sim::DispatchBackend::kSwitch, &pool), legacy);
 }
 
 TEST(Campaign, ResultsLandInTrialOrder) {
