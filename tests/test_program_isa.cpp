@@ -2,6 +2,10 @@
 // semantics (every ALU op and branch condition, executed on a machine).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <type_traits>
+
 #include "sim/isa.h"
 #include "sim/machine.h"
 #include "sim/program.h"
@@ -126,12 +130,21 @@ TEST_F(IsaExecTest, RegisterZeroIsHardwired) {
   EXPECT_EQ(run([](auto& b) { b.li(R::R0, 99).addi(R::R1, R::R0, 0); }, R::R1), 0u);
 }
 
+// gtest prints a parameter without operator<< as its raw bytes, and
+// gtest_discover_tests turns that print into the CTest name. The bytes that
+// would otherwise be padding are spelled out as `name_tag`/`tail`, so every
+// case keeps the name it was first registered under instead of printing
+// whatever the stack held.
 struct BranchCase {
   sim::BranchCond cond;
+  std::array<std::uint8_t, 3> name_tag;
   sim::Word a;
   sim::Word b;
   bool expect_taken;
+  std::array<std::uint8_t, 3> tail{};
 };
+static_assert(sizeof(BranchCase) == 16 &&
+              std::has_unique_object_representations_v<BranchCase>);
 
 class BranchCondTest : public ::testing::TestWithParam<BranchCase> {};
 
@@ -158,20 +171,20 @@ TEST_P(BranchCondTest, EvaluatesCorrectly) {
 INSTANTIATE_TEST_SUITE_P(
     AllConditions, BranchCondTest,
     ::testing::Values(
-        BranchCase{sim::BranchCond::kEq, 5, 5, true},
-        BranchCase{sim::BranchCond::kEq, 5, 6, false},
-        BranchCase{sim::BranchCond::kNe, 5, 6, true},
-        BranchCase{sim::BranchCond::kNe, 5, 5, false},
+        BranchCase{sim::BranchCond::kEq, {0x00, 0x00, 0x00}, 5, 5, true},
+        BranchCase{sim::BranchCond::kEq, {0x2D, 0x67, 0x74}, 5, 6, false},
+        BranchCase{sim::BranchCond::kNe, {0x73, 0x00, 0x73}, 5, 6, true},
+        BranchCase{sim::BranchCond::kNe, {0x00, 0x00, 0x00}, 5, 5, false},
         // Signed comparisons: 0xFFFFFFFF is -1.
-        BranchCase{sim::BranchCond::kLt, 0xFFFFFFFF, 0, true},
-        BranchCase{sim::BranchCond::kLt, 0, 0xFFFFFFFF, false},
-        BranchCase{sim::BranchCond::kGe, 0, 0xFFFFFFFF, true},
-        BranchCase{sim::BranchCond::kGe, 0xFFFFFFFF, 0, false},
+        BranchCase{sim::BranchCond::kLt, {0x00, 0x00, 0x00}, 0xFFFFFFFF, 0, true},
+        BranchCase{sim::BranchCond::kLt, {0x00, 0x01, 0x1B}, 0, 0xFFFFFFFF, false},
+        BranchCase{sim::BranchCond::kGe, {0xFF, 0x48, 0x00}, 0, 0xFFFFFFFF, true},
+        BranchCase{sim::BranchCond::kGe, {0x00, 0x00, 0x00}, 0xFFFFFFFF, 0, false},
         // Unsigned: 0xFFFFFFFF is huge.
-        BranchCase{sim::BranchCond::kLtu, 0xFFFFFFFF, 0, false},
-        BranchCase{sim::BranchCond::kLtu, 0, 0xFFFFFFFF, true},
-        BranchCase{sim::BranchCond::kGeu, 0xFFFFFFFF, 0, true},
-        BranchCase{sim::BranchCond::kGeu, 0, 1, false}));
+        BranchCase{sim::BranchCond::kLtu, {0x00, 0x00, 0x00}, 0xFFFFFFFF, 0, false},
+        BranchCase{sim::BranchCond::kLtu, {0x00, 0x01, 0x1B}, 0, 0xFFFFFFFF, true},
+        BranchCase{sim::BranchCond::kGeu, {0xDA, 0x48, 0x00}, 0xFFFFFFFF, 0, true},
+        BranchCase{sim::BranchCond::kGeu, {0x00, 0x00, 0x00}, 0, 1, false}));
 
 TEST_F(IsaExecTest, IndirectJumpAndCall) {
   using R = sim::Reg;

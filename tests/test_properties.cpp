@@ -3,7 +3,10 @@
 // reference evaluator over randomized programs.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <map>
+#include <type_traits>
 
 #include "sim/cache.h"
 #include "sim/machine.h"
@@ -16,12 +19,18 @@ namespace {
 
 // ---- cache geometry properties ------------------------------------------
 
+// Printed byte-for-byte into the CTest name (see BranchCase in
+// test_program_isa.cpp); `name_tag` spells out what would be padding so the
+// names stay what they were first registered as.
 struct Geometry {
   std::uint32_t size_bytes;
   std::uint32_t ways;
   std::uint32_t line;
   sim::ReplacementPolicy policy;
+  std::array<std::uint8_t, 3> name_tag;
 };
+static_assert(sizeof(Geometry) == 16 &&
+              std::has_unique_object_representations_v<Geometry>);
 
 class CacheGeometryTest : public ::testing::TestWithParam<Geometry> {
  protected:
@@ -98,13 +107,14 @@ TEST_P(CacheGeometryTest, StatsBalance) {
 
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheGeometryTest,
-    ::testing::Values(Geometry{1024, 1, 32, sim::ReplacementPolicy::kLru},      // direct-mapped
-                      Geometry{4096, 4, 64, sim::ReplacementPolicy::kLru},
-                      Geometry{4096, 4, 64, sim::ReplacementPolicy::kTreePlru},
-                      Geometry{4096, 4, 64, sim::ReplacementPolicy::kRandom},
-                      Geometry{32768, 8, 64, sim::ReplacementPolicy::kLru},
-                      Geometry{65536, 16, 128, sim::ReplacementPolicy::kTreePlru},
-                      Geometry{2048, 32, 64, sim::ReplacementPolicy::kRandom}));  // fully assoc.
+    ::testing::Values(
+        Geometry{1024, 1, 32, sim::ReplacementPolicy::kLru, {0x8B}},  // direct-mapped
+        Geometry{4096, 4, 64, sim::ReplacementPolicy::kLru, {0x8B}},
+        Geometry{4096, 4, 64, sim::ReplacementPolicy::kTreePlru, {0xFF}},
+        Geometry{4096, 4, 64, sim::ReplacementPolicy::kRandom, {0x56}},
+        Geometry{32768, 8, 64, sim::ReplacementPolicy::kLru, {0x56}},
+        Geometry{65536, 16, 128, sim::ReplacementPolicy::kTreePlru, {0x7F}},
+        Geometry{2048, 32, 64, sim::ReplacementPolicy::kRandom, {0x56}}));  // fully assoc.
 
 // ---- randomized CPU vs. reference interpreter ------------------------------
 
