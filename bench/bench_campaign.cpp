@@ -58,11 +58,9 @@
 #include "core/machine_pool.h"
 #include "core/obs/metrics.h"
 #include "core/obs/trace.h"
-#include "core/resilience/resilient.h"
 #include "core/service/catalog.h"
 #include "core/service/remote_worker.h"
 #include "core/service/spec.h"
-#include "core/shard/supervisor.h"
 #include "core/shutdown.h"
 #include "sim/machine.h"
 #include "table.h"
@@ -211,10 +209,10 @@ bool outcomes_identical(const service::ServiceOutcomes& got,
 }
 
 void BM_Campaign32Trials(benchmark::State& state) {
-  sim::ThreadPool pool(static_cast<unsigned>(state.range(0)));
+  const core::CampaignConfig config{
+      .seed = 2019, .trials = 32, .workers = static_cast<unsigned>(state.range(0))};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::run_campaign<TrialResult>(pool, 2019, 32, spectre_trial));
+    benchmark::DoNotOptimize(core::run_campaign<TrialResult>(config, spectre_trial));
   }
 }
 BENCHMARK(BM_Campaign32Trials)->Arg(1)->Arg(4)->Iterations(2)->Unit(benchmark::kMillisecond);
@@ -296,9 +294,11 @@ int main(int argc, char** argv) {
   // the one-off 16 MiB memory snapshot per machine happen here, so the
   // timed passes (and the setup-vs-run breakdown) measure steady-state
   // reset-reuse rather than cold builds.
-  core::run_campaign_resilient<TrialResult>(
-      {.seed = 2019, .trials = 32, .workers = sweep.back()}, {.machines = &machine_pool},
-      spectre_trial);
+  core::run_campaign<TrialResult>({.seed = 2019,
+                                   .trials = 32,
+                                   .workers = sweep.back(),
+                                   .resilience = {.machines = &machine_pool}},
+                                  spectre_trial);
 
   for (const unsigned workers : sweep) {
     if (core::shutdown_requested()) {
@@ -306,12 +306,14 @@ int main(int argc, char** argv) {
     }
     g_record_breakdown.store(workers == 1);
     const auto start = std::chrono::steady_clock::now();
-    // The resilient runner is the engine under test: same determinism
-    // contract as run_campaign, plus per-slot fault containment and
-    // snapshot/reset machine pooling.
-    const auto outcomes = core::run_campaign_resilient<TrialResult>(
-        {.seed = 2019, .trials = trials, .workers = workers},
-        {.machines = &machine_pool}, spectre_trial);
+    // The in-process path of run_campaign is the engine under test:
+    // per-slot fault containment plus snapshot/reset machine pooling.
+    const auto outcomes = core::run_campaign<TrialResult>(
+        {.seed = 2019,
+         .trials = trials,
+         .workers = workers,
+         .resilience = {.machines = &machine_pool}},
+        spectre_trial);
     const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
     g_record_breakdown.store(false);
 
@@ -402,8 +404,8 @@ int main(int argc, char** argv) {
     double shard_seq_seconds = 0.0;
     {
       const auto t0 = std::chrono::steady_clock::now();
-      const auto outcomes = core::run_campaign_resilient<TrialResult>(
-          {.seed = 2027, .trials = shard_trials, .workers = 1}, {}, spectre_trial);
+      const auto outcomes = core::run_campaign<TrialResult>(
+          {.seed = 2027, .trials = shard_trials, .workers = 1}, spectre_trial);
       shard_seq_seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
       shard_baseline.reserve(outcomes.size());
@@ -438,19 +440,18 @@ int main(int argc, char** argv) {
       // the old 64-trial default was unintentionally measuring.
       double setup_secs = 0.0;
       {
-        core::shard::ShardConfig setup_shard = shard;
         const auto s0 = std::chrono::steady_clock::now();
-        (void)core::shard::run_campaign_sharded<TrialResult>(
-            {.seed = 2027, .trials = row.procs, .workers = 1}, res, setup_shard,
-            spectre_trial, nullptr);
+        (void)core::run_campaign<TrialResult>(
+            {.seed = 2027, .trials = row.procs, .workers = 1, .resilience = res, .shard = shard},
+            spectre_trial);
         setup_secs =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - s0).count();
       }
       core::shard::ShardStats stats;
       const auto t0 = std::chrono::steady_clock::now();
-      const auto outcomes = core::shard::run_campaign_sharded<TrialResult>(
-          {.seed = 2027, .trials = shard_trials, .workers = 1}, res, shard, spectre_trial,
-          &stats);
+      const auto outcomes = core::run_campaign<TrialResult>(
+          {.seed = 2027, .trials = shard_trials, .workers = 1, .resilience = res, .shard = shard},
+          spectre_trial, &stats);
       const double secs =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
       std::vector<TrialResult> results;
@@ -551,10 +552,7 @@ int main(int argc, char** argv) {
         continue;
       }
       shard_cfg.remote_spec_json = service::encode_spec(spec);
-      core::ResilienceConfig res;
-      res.policy = spec.policy;
-      res.max_attempts = spec.max_attempts;
-      res.trial_cycle_budget = spec.trial_cycle_budget;
+      core::ResilienceConfig res = service::spec_resilience(spec, {});
       if (row.chaos) {
         // Seeded self-SIGKILLs ship to the remote workers inside the
         // kWelcome frame; each kill takes down a whole listening worker, so
@@ -566,10 +564,13 @@ int main(int argc, char** argv) {
       const auto body = service::make_trial_body(spec);
       core::shard::ShardStats stats;
       const auto t0 = std::chrono::steady_clock::now();
-      const auto outcomes = core::shard::run_campaign_sharded<service::ServiceTrialResult>(
-          {.seed = spec.seed, .trials = static_cast<std::size_t>(spec.trials),
-           .workers = spec.workers},
-          res, shard_cfg, body, &stats);
+      const auto outcomes = core::run_campaign<service::ServiceTrialResult>(
+          {.seed = spec.seed,
+           .trials = static_cast<std::size_t>(spec.trials),
+           .workers = spec.workers,
+           .resilience = res,
+           .shard = shard_cfg},
+          body, &stats);
       const double secs =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
       for (const pid_t pid : workers) {

@@ -13,7 +13,6 @@
 #include "arch/trustzone.h"
 #include "attacks/physical/clkscrew.h"
 #include "core/campaign.h"
-#include "core/resilience/resilient.h"
 #include "table.h"
 
 namespace sim = hwsec::sim;
@@ -85,8 +84,8 @@ int main(int argc, char** argv) {
     };
     hwsec::core::ResilienceConfig res;
     res.trial_cycle_budget = 500'000'000;  // generous: only a wedged guest hits it.
-    const auto rows = hwsec::core::run_campaign_resilient<SweepRow>(
-        {.seed = 900, .trials = freqs.size()}, res,
+    const auto rows = hwsec::core::run_campaign<SweepRow>(
+        {.seed = 900, .trials = freqs.size(), .resilience = res},
         [&freqs](const hwsec::core::TrialContext& ctx) {
           const double freq = freqs[ctx.index];
           TzSetup setup(900 + static_cast<std::uint64_t>(freq));

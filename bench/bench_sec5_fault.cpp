@@ -14,7 +14,6 @@
 
 #include "attacks/physical/fault_attacks.h"
 #include "core/campaign.h"
-#include "core/resilience/resilient.h"
 #include "sim/dvfs.h"
 #include "sim/rng.h"
 #include "table.h"
@@ -142,8 +141,8 @@ int main(int argc, char** argv) {
       double measured_rate = 0.0;
     };
     const double v = 0.9;
-    const auto rows = hwsec::core::run_campaign_resilient<GlitchRow>(
-        {.seed = 860, .trials = margins.size()}, {},
+    const auto rows = hwsec::core::run_campaign<GlitchRow>(
+        {.seed = 860, .trials = margins.size()},
         [&margins, v](const hwsec::core::TrialContext& ctx) {
           const double margin = margins[ctx.index];
           sim::DvfsController dvfs;

@@ -17,7 +17,6 @@
 #include "attacks/physical/timing_attack.h"
 #include "core/campaign.h"
 #include "core/capture.h"
-#include "core/resilience/resilient.h"
 #include "sca/cpa.h"
 #include "sca/second_order.h"
 #include "sca/streaming.h"
@@ -139,8 +138,8 @@ int main(int argc, char** argv) {
     // in sweep order. A trial that throws only blanks its own row (the
     // sweep keeps going and reports the structured error instead).
     const std::vector<double> sigmas = {0.25, 0.5, 1.0, 2.0, 4.0, 8.0};
-    const auto needed = hwsec::core::run_campaign_resilient<std::size_t>(
-        {.seed = 17, .trials = sigmas.size()}, {},
+    const auto needed = hwsec::core::run_campaign<std::size_t>(
+        {.seed = 17, .trials = sigmas.size()},
         [&sigmas](const hwsec::core::TrialContext& ctx) {
           const double sigma = sigmas[ctx.index];
           return traces_to_success(attacks::AesVariant::kTTable, sigma, 0, 0.0, 32768,

@@ -1,5 +1,5 @@
 // E-service — campaign-as-a-service overhead: what does routing a campaign
-// through hwsecd cost over calling run_campaign_resilient directly?
+// through hwsecd cost over calling run_campaign directly?
 //
 // Rows:
 //   * direct_run        — run_spec() in-process, the baseline;

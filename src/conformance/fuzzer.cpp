@@ -35,6 +35,7 @@ FuzzReport run_fuzz(const FuzzConfig& config) {
   campaign.seed = config.seed;
   campaign.trials = config.trials;
   campaign.workers = config.workers;
+  campaign.resilience.policy = core::FailurePolicy::kFailFast;
 
   const std::function<TrialVerdict(const core::TrialContext&)> body =
       [&config](const core::TrialContext& ctx) {
@@ -49,7 +50,7 @@ FuzzReport run_fuzz(const FuzzConfig& config) {
         }
         return verdict;
       };
-  std::vector<TrialVerdict> verdicts = core::run_campaign(campaign, body);
+  std::vector<TrialVerdict> verdicts = core::values(core::run_campaign(campaign, body));
 
   // Post-campaign: count, then shrink the first few failures sequentially.
   for (TrialVerdict& verdict : verdicts) {

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
-#include "core/campaign.h"
-#include "sim/rng.h"
 #include "sim/thread_pool.h"
 
 namespace hwsec::core {
@@ -43,18 +42,18 @@ std::size_t capture_aes_power_batches(const BatchedCaptureConfig& config,
   std::size_t captured = 0;
   for (std::size_t wave_base = 0; wave_base < num_batches; wave_base += window) {
     const std::size_t wave = std::min(window, num_batches - wave_base);
-    // One campaign per wave: trial i of the wave is global batch
-    // wave_base + i, whose content derives from (config.seed, global
-    // batch index) alone — identical stream at any worker count, and
-    // identical to collect_aes_traces_parallel's batch decomposition.
-    auto results = run_campaign<sca::TraceSet>(
-        pool, config.seed, wave, [&](const TrialContext& ctx) {
-          const std::size_t b = wave_base + ctx.index;
-          const std::size_t n = std::min(batch, total - b * batch);
-          return attacks::collect_aes_trace_batch(key, variant, b, n, recorder_config,
-                                                  config.seed);
-        });
-    for (std::size_t i = 0; i < results.size(); ++i) {
+    std::vector<sca::TraceSet> results(wave);
+    // Slot i of the wave is global batch wave_base + i, whose content
+    // derives from (config.seed, global batch index) alone — identical
+    // stream at any worker count, and identical to
+    // collect_aes_traces_parallel's batch decomposition.
+    pool.parallel_for(wave, [&](std::size_t i) {
+      const std::size_t b = wave_base + i;
+      const std::size_t n = std::min(batch, total - b * batch);
+      results[i] =
+          attacks::collect_aes_trace_batch(key, variant, b, n, recorder_config, config.seed);
+    });
+    for (std::size_t i = 0; i < wave; ++i) {
       captured += results[i].traces.size();
       sink(wave_base + i, results[i]);
       results[i] = sca::TraceSet{};  // free the batch before the next wave.
@@ -84,53 +83,6 @@ sca::StreamingSecondOrderCpa run_streaming_second_order_campaign(
   capture_aes_power_batches(config, key, attacks::AesVariant::kMasked, recorder_config,
                             [&](std::size_t, const sca::TraceSet& set) { acc.add_batch(set); });
   return acc;
-}
-
-std::uint64_t capture_line_observation_batches(const ObservationCaptureConfig& config,
-                                               const sim::MachineProfile& profile,
-                                               const crypto::AesKey& key,
-                                               const ObservationBatchSink& sink) {
-  const std::size_t batch = config.batch_observations != 0 ? config.batch_observations : 64;
-  const std::uint64_t total = config.total_observations;
-  const std::size_t num_batches =
-      static_cast<std::size_t>((total + batch - 1) / batch);
-  const std::size_t window = resolve_window(config.window_batches, config.workers);
-
-  std::unique_ptr<sim::ThreadPool> local_pool;
-  if (config.workers != 0) {
-    local_pool = std::make_unique<sim::ThreadPool>(config.workers);
-  }
-  sim::ThreadPool& pool = local_pool ? *local_pool : sim::ThreadPool::shared();
-  for (std::size_t wave_base = 0; wave_base < num_batches; wave_base += window) {
-    const std::size_t wave = std::min(window, num_batches - wave_base);
-    auto results = run_campaign<std::vector<attacks::LineObservation>>(
-        pool, config.seed, wave, [&](const TrialContext& ctx) {
-          const std::size_t b = wave_base + ctx.index;
-          const std::uint64_t n =
-              std::min<std::uint64_t>(batch, total - static_cast<std::uint64_t>(b) * batch);
-          // Each batch leases a pooled machine (snapshot/reset reuse) and
-          // rebuilds the victim; batch content derives from (seed, b) only.
-          const std::uint64_t batch_seed = sim::derive_seed(config.seed, b);
-          MachineLease lease = acquire_machine(ctx.machines, profile, batch_seed);
-          const sim::PhysAddr tables = lease->alloc_frames(2);
-          attacks::AesCacheVictim victim(*lease, /*core=*/1, /*domain=*/7, tables, key);
-          attacks::CacheAttackConfig attack = config.attack;
-          attack.rng_seed = batch_seed;
-          std::vector<attacks::LineObservation> observations;
-          observations.reserve(static_cast<std::size_t>(n));
-          attacks::collect_line_observations_into(
-              *lease, victim.layout(),
-              [&victim](const crypto::AesBlock& pt) { return victim.encrypt(pt); }, n, attack,
-              [&](const attacks::LineObservation& obs) { observations.push_back(obs); });
-          return observations;
-        });
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      sink(wave_base + i, results[i]);
-      results[i].clear();
-      results[i].shrink_to_fit();
-    }
-  }
-  return total;
 }
 
 }  // namespace hwsec::core

@@ -7,7 +7,7 @@
 //    for checkpoint saves.
 //  * CheckpointFile — a keyed store of completed trial slots for one
 //    campaign, identified by (campaign seed, trial count, result size)
-//    plus an optional owner scope. The resilient runner saves it
+//    plus an optional owner scope. run_campaign saves it
 //    periodically; on restart, load() restores finished slots and the
 //    runner re-executes only the rest. Because trial i's result is a pure
 //    function of (seed, i), a resumed campaign is bit-identical to an
@@ -70,7 +70,7 @@ class CheckpointFile {
   bool load(const std::string& path);
 
   /// Inserts or replaces the record for `index`. Not thread-safe; the
-  /// caller serializes (the resilient runner holds one mutex around
+  /// caller serializes (run_campaign holds one mutex around
   /// record+save).
   void record(std::size_t index, CheckpointRecord rec);
 

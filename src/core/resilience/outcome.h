@@ -1,6 +1,6 @@
 // Per-slot result-or-error model for fault-contained campaigns.
 //
-// run_campaign_resilient never lets one bad trial take the sweep down: the
+// run_campaign never lets one bad trial take the sweep down: the
 // trial's exception is converted into a SimError and stored in its slot,
 // while every other slot holds exactly the value the fault-free campaign
 // would produce (the determinism contract is per-slot, so containment
@@ -8,6 +8,8 @@
 #pragma once
 
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "sim/sim_error.h"
 
@@ -31,5 +33,18 @@ struct TrialOutcome {
   bool ok() const { return result.has_value(); }
   const Result& value() const { return *result; }
 };
+
+/// The plain result vector of a campaign whose every slot succeeded (run
+/// it under FailurePolicy::kFailFast). Throws std::bad_optional_access for
+/// a slot without a value, e.g. one a graceful shutdown skipped.
+template <typename Result>
+std::vector<Result> values(std::vector<TrialOutcome<Result>> outcomes) {
+  std::vector<Result> out;
+  out.reserve(outcomes.size());
+  for (auto& outcome : outcomes) {
+    out.push_back(std::move(outcome.result.value()));
+  }
+  return out;
+}
 
 }  // namespace hwsec::core

@@ -3,6 +3,8 @@
 #include <new>
 #include <stdexcept>
 
+#include "sim/thread_pool.h"
+
 namespace hwsec::core {
 
 namespace detail {

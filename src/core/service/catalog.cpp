@@ -6,7 +6,6 @@
 #include "attacks/transient/spectre.h"
 #include "core/machine_pool.h"
 #include "core/shard/net.h"
-#include "core/shard/supervisor.h"
 #include "core/service/spec.h"
 #include "sim/machine.h"
 
@@ -77,23 +76,34 @@ std::function<ServiceTrialResult(const TrialContext&)> make_trial_body(
                  "unknown campaign kind \"" + spec.kind + "\" (known: mix, spectre_leak)");
 }
 
+ResilienceConfig spec_resilience(const CampaignSpec& spec, ResilienceConfig res) {
+  res.policy = spec.policy;
+  res.max_attempts = spec.max_attempts;
+  res.trial_cycle_budget = spec.trial_cycle_budget;
+  return res;
+}
+
 ServiceOutcomes run_spec(const CampaignSpec& spec, ResilienceConfig res,
                          const std::function<void()>& on_trial) {
   std::function<ServiceTrialResult(const TrialContext&)> body = make_trial_body(spec);
+  if (on_trial) {
+    body = [inner = std::move(body), &on_trial](const TrialContext& ctx) {
+      const ServiceTrialResult r = inner(ctx);
+      on_trial();
+      return r;
+    };
+  }
   CampaignConfig config;
   config.seed = spec.seed;
   config.trials = static_cast<std::size_t>(spec.trials);
   config.workers = spec.workers;
-  res.policy = spec.policy;
-  res.max_attempts = spec.max_attempts;
-  res.trial_cycle_budget = spec.trial_cycle_budget;
+  config.resilience = spec_resilience(spec, std::move(res));
+  config.shard.processes = spec.processes;
 
   // Host discovery: the spec's host list wins; with none listed, the
   // HWSEC_SHARD_HOSTS environment (comma-separated host:port) applies.
-  // Either routes the campaign through the sharded supervisor — remote
-  // workers are just more shard workers, and the outcome vector stays
-  // bit-identical to the local run.
-  std::vector<shard::HostSpec> hosts;
+  // Remote workers are just more shard workers, and the outcome vector
+  // stays bit-identical to the local run.
   if (!spec.hosts.empty()) {
     for (const auto& element : spec.hosts) {
       shard::HostSpec parsed;
@@ -101,35 +111,21 @@ ServiceOutcomes run_spec(const CampaignSpec& spec, ResilienceConfig res,
       if (!shard::parse_host(element, parsed, error)) {
         throw SimError(ErrorKind::kConfigError, "spec hosts: " + error);
       }
-      hosts.push_back(parsed);
+      config.shard.hosts.push_back(parsed);
     }
   } else {
     std::string error;
-    hosts = shard::hosts_from_env(error);
+    config.shard.hosts = shard::hosts_from_env(error);
     if (!error.empty()) {
       throw SimError(ErrorKind::kConfigError, error);
     }
   }
-
-  if (spec.processes == 0 && hosts.empty()) {
-    if (on_trial) {
-      body = [inner = std::move(body), &on_trial](const TrialContext& ctx) {
-        const ServiceTrialResult r = inner(ctx);
-        on_trial();
-        return r;
-      };
-    }
-    return run_campaign_resilient<ServiceTrialResult>(config, res, body);
-  }
-  shard::ShardConfig shard_cfg;
-  shard_cfg.processes = spec.processes;
-  shard_cfg.hosts = std::move(hosts);
-  if (!shard_cfg.hosts.empty()) {
+  if (!config.shard.hosts.empty()) {
     // The spec is the campaign identity the handshake pins: remote workers
     // verify fnv1a64(spec_json) before accepting a single assignment.
-    shard_cfg.remote_spec_json = encode_spec(spec);
+    config.shard.remote_spec_json = encode_spec(spec);
   }
-  return shard::run_campaign_sharded<ServiceTrialResult>(config, res, shard_cfg, body);
+  return run_campaign<ServiceTrialResult>(config, body);
 }
 
 }  // namespace hwsec::core::service

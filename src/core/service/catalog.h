@@ -4,10 +4,9 @@
 // trial body with a fixed POD result type. Keeping the result type uniform
 // (two u64 lanes) is what lets the daemon checkpoint, wire-encode, and
 // digest any job without templating the whole control plane — and a body
-// is exactly the closure a direct caller would hand to
-// run_campaign_resilient, so daemon execution is the same code path as a
-// hand-launched campaign (bit-identical results, asserted in tests and the
-// CI smoke).
+// is exactly the closure a direct caller would hand to run_campaign, so
+// daemon execution is the same code path as a hand-launched campaign
+// (bit-identical results, asserted in tests and the CI smoke).
 //
 // Kinds:
 //  * "mix"          — seed-keyed splitmix64 PRF, no machine. The cheap
@@ -25,7 +24,6 @@
 #include <vector>
 
 #include "core/campaign.h"
-#include "core/resilience/resilient.h"
 #include "core/service/spec.h"
 
 namespace hwsec::core::service {
@@ -52,17 +50,22 @@ bool known_kind(const std::string& kind);
 /// for an unknown kind.
 std::function<ServiceTrialResult(const TrialContext&)> make_trial_body(const CampaignSpec& spec);
 
-/// Runs `spec` through the engine a direct caller would use:
-/// run_campaign_resilient when spec.processes == 0, run_campaign_sharded
-/// otherwise. `res` arrives with the caller's environment (checkpoint
-/// path/scope, shared MachinePool); the spec's own policy/attempt/budget
-/// knobs are folded in here so every entry point applies them identically.
+/// Folds the spec's resilience knobs (policy, max_attempts,
+/// trial_cycle_budget) into `res`, which carries the caller's environment
+/// (checkpoint path/scope, shared MachinePool, wall clock, chaos). run_spec
+/// and remote workers both use it, so a trial applies the same knobs on
+/// every host.
+ResilienceConfig spec_resilience(const CampaignSpec& spec, ResilienceConfig res);
+
+/// Runs `spec` through run_campaign, exactly as a direct caller would:
+/// in-process when it names no processes and no hosts (neither in the
+/// spec nor in HWSEC_SHARD_HOSTS), through the shard supervisor otherwise.
 ///
 /// `on_trial` (optional) fires after each completed trial attempt sequence
 /// — the daemon's progress feed. It runs outside the trial body's result
-/// computation, so results are bit-identical with or without it. Sharded
-/// runs ignore it (trials execute in forked children; their progress
-/// surfaces only at completion).
+/// computation, so results are bit-identical with or without it. Trials a
+/// shard worker runs call it in that worker's own process, where the
+/// caller never sees it; their progress surfaces only at completion.
 ServiceOutcomes run_spec(const CampaignSpec& spec, ResilienceConfig res,
                          const std::function<void()>& on_trial = {});
 

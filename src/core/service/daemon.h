@@ -4,8 +4,8 @@
 // clients submit versioned JSON campaign specs over a Unix or local TCP
 // socket, the daemon schedules them across a shared MachinePool with
 // per-tenant quotas and fair-share priority, executes each job through the
-// exact run_campaign_resilient / run_campaign_sharded path a direct caller
-// would use (so results are bit-identical to a hand-launched run), streams
+// exact run_campaign path a direct caller would use (so results are
+// bit-identical to a hand-launched run), streams
 // incremental progress, and serves the obs metrics scrape as /status.
 //
 // Ownership model — the property everything else falls out of: a JOB

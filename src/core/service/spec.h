@@ -5,8 +5,8 @@
 // the trial count, and the execution/resilience knobs. Because trial i of
 // a campaign is a pure function of (seed, i), a spec is also a complete
 // *reproducibility* capsule: running the same spec through the daemon,
-// through hwsec-client run-direct, or by hand against
-// run_campaign_resilient yields bit-identical outcome vectors.
+// through hwsec-client run-direct, or by hand against run_campaign yields
+// bit-identical outcome vectors.
 //
 // Versioning: every document carries "hwsec_spec_version". Decoders accept
 // exactly the versions they know (currently 1) and reject everything else
@@ -27,7 +27,8 @@ namespace hwsec::core::service {
 inline constexpr int kSpecVersion = 1;
 
 /// Everything a campaign needs, flattened for the wire. Field semantics
-/// match CampaignConfig / ResilienceConfig / ShardConfig one-to-one.
+/// match CampaignConfig and its `resilience` and `shard` members
+/// one-to-one (service::run_spec does the mapping).
 struct CampaignSpec {
   int version = kSpecVersion;
   std::string tenant;          ///< owner id, [A-Za-z0-9._-]+ (quota/checkpoint key).

@@ -17,7 +17,18 @@
 #include "core/shard/wire.h"
 #include "core/shutdown.h"
 
-namespace hwsec::core::shard::detail_shard {
+namespace hwsec::core::shard {
+
+std::size_t planned_shard_size(const ShardConfig& config, std::size_t trials) {
+  if (config.shard_size != 0) {
+    return config.shard_size;
+  }
+  const std::size_t fan_out = static_cast<std::size_t>(config.processes) + config.hosts.size();
+  return fan_out == 0 ? std::max<std::size_t>(1, trials)
+                      : std::max<std::size_t>(1, trials / (fan_out * 4));
+}
+
+namespace detail_shard {
 
 namespace {
 
@@ -127,8 +138,9 @@ class Supervisor {
                      "remote shard workers require a campaign spec "
                      "(ShardConfig::remote_spec_json is empty)");
     }
-    if (config_.processes == 0 && !remote) {
-      run_fallback();
+    if (done()) {
+      // Nothing pending (no trials, or every slot restored): fork no
+      // worker and dial no host.
       finish();
       return std::move(result_);
     }
@@ -200,12 +212,7 @@ class Supervisor {
   }
 
   void plan_shards() {
-    const std::size_t fan_out =
-        static_cast<std::size_t>(config_.processes) + config_.hosts.size();
-    const std::size_t auto_size =
-        fan_out == 0 ? job_.trials : std::max<std::size_t>(1, job_.trials / (fan_out * 4));
-    const std::size_t shard_size =
-        config_.shard_size == 0 ? std::max<std::size_t>(1, auto_size) : config_.shard_size;
+    const std::size_t shard_size = planned_shard_size(config_, job_.trials);
     std::uint64_t next_id = 0;
     for (std::size_t begin = 0; begin < job_.trials; begin += shard_size) {
       const std::size_t end = std::min(job_.trials, begin + shard_size);
@@ -886,4 +893,6 @@ SupervisorResult run_sharded(const ShardJob& job, const ShardConfig& config,
   return supervisor.run();
 }
 
-}  // namespace hwsec::core::shard::detail_shard
+}  // namespace detail_shard
+
+}  // namespace hwsec::core::shard

@@ -1,13 +1,15 @@
 // Multi-process sharded campaign supervisor.
 //
-// run_campaign_sharded splits a campaign's trial range into seed-sharded
-// chunks, forks N worker processes (each with its own MachinePool and
-// WallClockMonitor), feeds them shard assignments over pipes using the
-// versioned wire format in wire.h, and merges the per-shard outcome
-// streams deterministically: trial i's record is a pure function of
-// (campaign seed, i) — the same detail::execute_trial the in-process
-// resilient runner uses — so the merged vector is bit-identical to the
-// 1-process run at any shard count and any worker count.
+// run_campaign (core/campaign.h) hands a campaign here whenever its
+// ShardConfig names worker processes, remote hosts or a listener. The
+// supervisor splits the trial range into seed-sharded chunks, forks N
+// worker processes (each with its own MachinePool and WallClockMonitor),
+// feeds them shard assignments over pipes using the versioned wire format
+// in wire.h, and merges the per-shard outcome streams deterministically:
+// trial i's record is a pure function of (campaign seed, i) — every
+// worker runs detail::execute_trial, as the in-process path does — so the
+// merged vector is bit-identical to the 1-process run at any shard count
+// and any worker count.
 //
 // Robustness is the contract (the failure matrix lives in DESIGN.md S21):
 //  * worker crash  — waitpid notices the exit; unfinished trials of its
@@ -37,13 +39,11 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "core/resilience/resilient.h"
@@ -53,12 +53,12 @@
 namespace hwsec::core::shard {
 
 struct ShardConfig {
-  /// Worker processes to fork. 1 still exercises the full fork/pipe path;
-  /// 0 runs everything in-process (degenerate, for comparison harnesses)
-  /// unless remote hosts are configured below.
-  unsigned processes = 2;
+  /// Worker processes to fork. 1 still exercises the full fork/pipe path.
+  /// 0 (default) forks nothing: with no hosts and no listener either, the
+  /// campaign runs in-process on the thread pool.
+  unsigned processes = 0;
   /// Trials per shard. 0 = auto: spread the campaign so each worker sees
-  /// several shards (max(1, trials / (processes * 4))) — small enough for
+  /// several shards (max(1, trials / (fan-out * 4))) — small enough for
   /// migration to matter, large enough to amortize frame traffic.
   std::size_t shard_size = 0;
   /// Worker heartbeat period (liveness beacons on the result pipe).
@@ -123,10 +123,16 @@ struct ShardConfig {
   std::function<std::unique_ptr<Transport>(std::unique_ptr<Transport>)> transport_decorator;
 };
 
-/// Recovery/scheduling telemetry for one sharded run (also exported as obs
-/// counters: shard_assignments, shard_migrations, shard_worker_respawns,
-/// shard_worker_deaths, shard_worker_hangs, shard_duplicate_trials,
-/// shard_fallback_trials).
+/// Trials per shard for a campaign of `trials`: config.shard_size, or the
+/// auto size for the configured fan-out (processes + hosts).
+std::size_t planned_shard_size(const ShardConfig& config, std::size_t trials);
+
+/// Recovery/scheduling telemetry for one run_campaign call (also exported
+/// as obs counters: shard_assignments, shard_migrations,
+/// shard_worker_respawns, shard_worker_deaths, shard_worker_hangs,
+/// shard_duplicate_trials, shard_fallback_trials). An in-process run
+/// fills only shards_total (the plan planned_shard_size cuts) and
+/// trials_executed; every fleet counter stays zero.
 struct ShardStats {
   std::uint64_t shards_total = 0;       ///< shards in the initial plan.
   std::uint64_t assignments = 0;        ///< assignment frames sent (incl. re-assignments).
@@ -145,14 +151,14 @@ struct ShardStats {
 namespace detail_shard {
 
 /// Type-erased campaign the supervisor core runs (the Result type lives
-/// only in the template wrapper below).
+/// only in run_campaign).
 struct ShardJob {
   std::uint64_t seed = 0;
   std::size_t trials = 0;
   std::size_t result_bytes = 0;
-  /// Builds a trial runner. Called once inside each forked worker (so every
-  /// worker owns a private MachinePool) and once more for the in-process
-  /// fallback path.
+  /// Builds a trial runner (detail::make_trial_runner). Called once inside
+  /// each forked worker (so every worker owns a private MachinePool) and
+  /// once more for the in-process fallback path.
   std::function<TrialRunner()> make_runner;
 };
 
@@ -170,91 +176,5 @@ SupervisorResult run_sharded(const ShardJob& job, const ShardConfig& config,
                              const ResilienceConfig& res);
 
 }  // namespace detail_shard
-
-/// Sharded analogue of run_campaign_resilient. Same determinism contract —
-/// and additionally bit-identical to the in-process runner itself, which
-/// bench_campaign and test_shard assert. Requires a trivially copyable
-/// Result (records cross a process boundary). CampaignConfig::workers is
-/// ignored: inside a worker process trials run sequentially; parallelism
-/// is the process count.
-///
-/// Under FailurePolicy::kFailFast the supervisor stops scheduling once a
-/// failed record arrives and the lowest-index SimError is thrown after the
-/// fleet drains (matching the in-process runner's contract).
-template <typename Result>
-std::vector<TrialOutcome<Result>> run_campaign_sharded(
-    const CampaignConfig& config, const ResilienceConfig& res, const ShardConfig& shard,
-    const std::function<Result(const TrialContext&)>& body, ShardStats* stats_out = nullptr) {
-  static_assert(std::is_default_constructible_v<Result>,
-                "sharded campaigns rebuild Result values from wire bytes");
-  if constexpr (!std::is_trivially_copyable_v<Result>) {
-    throw SimError(ErrorKind::kConfigError,
-                   "sharded campaigns require a trivially copyable Result type");
-  } else {
-    detail_shard::ShardJob job;
-    job.seed = config.seed;
-    job.trials = config.trials;
-    job.result_bytes = sizeof(Result);
-    job.make_runner = [&config, &res, &body]() -> TrialRunner {
-      // One pool + monitor per worker process (and per fallback episode).
-      auto machines = std::make_shared<MachinePool>();
-      auto monitor = std::make_shared<WallClockMonitor>(res.wall_clock_timeout);
-      return [machines, monitor, &config, &res, &body](std::size_t index) {
-        const TrialOutcome<Result> out = detail::execute_trial<Result>(
-            index, config.seed, res, machines.get(), *monitor, body);
-        CheckpointRecord rec;
-        rec.attempts = out.attempts;
-        if (out.ok()) {
-          rec.ok = true;
-          rec.payload.assign(reinterpret_cast<const char*>(&*out.result), sizeof(Result));
-        } else {
-          rec.ok = false;
-          rec.kind = static_cast<std::uint8_t>(out.error->kind());
-          rec.detail = out.error->detail();
-          rec.machine = out.error->machine();
-        }
-        return rec;
-      };
-    };
-
-    const detail_shard::SupervisorResult merged = detail_shard::run_sharded(job, shard, res);
-    if (stats_out != nullptr) {
-      *stats_out = merged.stats;
-    }
-
-    std::vector<TrialOutcome<Result>> outcomes(config.trials);
-    for (std::size_t i = 0; i < config.trials; ++i) {
-      const auto it = merged.records.find(i);
-      if (it == merged.records.end()) {
-        outcomes[i].skipped = true;  // graceful shutdown or fail-fast drain.
-        continue;
-      }
-      const CheckpointRecord& rec = it->second;
-      TrialOutcome<Result>& out = outcomes[i];
-      out.attempts = rec.attempts;
-      out.from_checkpoint = merged.restored.count(i) != 0;
-      if (rec.ok) {
-        Result restored{};
-        std::memcpy(&restored, rec.payload.data(), sizeof(Result));
-        out.result = restored;
-      } else {
-        SimError err(static_cast<ErrorKind>(rec.kind), rec.detail);
-        if (!rec.machine.empty()) {
-          err.with_machine(rec.machine);
-        }
-        err.with_trial(i, hwsec::sim::derive_seed(config.seed, i));
-        out.error = std::move(err);
-      }
-    }
-    if (merged.failfast_tripped) {
-      for (const auto& out : outcomes) {
-        if (out.error.has_value()) {
-          throw *out.error;  // lowest index wins: outcomes iterate in order.
-        }
-      }
-    }
-    return outcomes;
-  }
-}
 
 }  // namespace hwsec::core::shard

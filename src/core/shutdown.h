@@ -8,7 +8,7 @@
 // The mechanism is a process-wide flag: install_graceful_shutdown() points
 // SIGTERM/SIGINT at a handler that records the signal (async-signal-safe:
 // one sig_atomic_t store). Cooperative consumers poll shutdown_requested():
-//  * run_campaign_resilient skips not-yet-started trials (marking their
+//  * run_campaign's in-process path skips not-yet-started trials (marking their
 //    slots `skipped`), lets in-flight trials finish, and writes its final
 //    checkpoint exactly as on a normal exit;
 //  * the shard supervisor stops assigning shards, tells workers to drain,

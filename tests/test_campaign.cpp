@@ -157,14 +157,18 @@ struct SpectreOutcome {
 };
 
 std::vector<SpectreOutcome> spectre_campaign(unsigned workers) {
-  return core::run_campaign<SpectreOutcome>(
-      {.seed = 7, .trials = 24, .workers = workers}, [](const core::TrialContext& ctx) {
+  return core::values(core::run_campaign<SpectreOutcome>(
+      {.seed = 7,
+       .trials = 24,
+       .workers = workers,
+       .resilience = {.policy = core::FailurePolicy::kFailFast}},
+      [](const core::TrialContext& ctx) {
         sim::Machine machine(sim::MachineProfile::mobile(), ctx.seed);
         attacks::SpectreV1 spectre(machine, 0);
         const sim::Word index = spectre.plant_secret("K");
         const auto byte = spectre.leak_byte(index);
         return SpectreOutcome{byte.has_value() && *byte == 'K', byte.value_or(0xFFFF)};
-      });
+      }));
 }
 
 TEST(Campaign, AttackProbeTrialsBitIdenticalAcrossWorkerCounts) {
@@ -177,8 +181,8 @@ TEST(Campaign, AttackProbeTrialsBitIdenticalAcrossWorkerCounts) {
 // ---- pinned campaign outcomes -------------------------------------------
 
 std::vector<SpectreOutcome> spectre_campaign_leased(core::MachinePool* pool) {
-  const auto outcomes = core::run_campaign_resilient<SpectreOutcome>(
-      {.seed = 7, .trials = 24, .workers = 1}, {.machines = pool},
+  const auto outcomes = core::run_campaign<SpectreOutcome>(
+      {.seed = 7, .trials = 24, .workers = 1, .resilience = {.machines = pool}},
       [](const core::TrialContext& ctx) {
         auto lease = core::acquire_machine(ctx.machines, sim::MachineProfile::mobile(), ctx.seed);
         attacks::SpectreV1 spectre(*lease, 0);
@@ -208,32 +212,15 @@ TEST(Campaign, OutcomesMatchPinnedRecording) {
 }
 
 TEST(Campaign, ResultsLandInTrialOrder) {
-  const auto indices = core::run_campaign<std::size_t>(
-      {.seed = 3, .trials = 100, .workers = 8},
-      [](const core::TrialContext& ctx) { return ctx.index; });
+  const auto indices = core::values(core::run_campaign<std::size_t>(
+      {.seed = 3,
+       .trials = 100,
+       .workers = 8,
+       .resilience = {.policy = core::FailurePolicy::kFailFast}},
+      [](const core::TrialContext& ctx) { return ctx.index; }));
   for (std::size_t i = 0; i < indices.size(); ++i) {
     EXPECT_EQ(indices[i], i);
   }
-}
-
-TEST(Campaign, SummarizeComputesMoments) {
-  const auto s = core::summarize({1.0, 2.0, 3.0, 4.0});
-  EXPECT_EQ(s.trials, 4u);
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 4.0);
-  EXPECT_DOUBLE_EQ(s.sum, 10.0);
-}
-
-TEST(Campaign, SummarizeEmptyOutcomesIsZeroed) {
-  // A sweep whose every trial failed hands summarize() an empty vector;
-  // the summary must be all zeros, never NaN or garbage.
-  const auto s = core::summarize({});
-  EXPECT_EQ(s.trials, 0u);
-  EXPECT_EQ(s.mean, 0.0);
-  EXPECT_EQ(s.min, 0.0);
-  EXPECT_EQ(s.max, 0.0);
-  EXPECT_EQ(s.sum, 0.0);
 }
 
 // ---- trace-capture campaign ------------------------------------------

@@ -36,7 +36,11 @@ std::vector<conf::TrialVerdict> campaign(std::uint64_t seed, std::size_t trials,
                                          unsigned workers, conf::MachineVariant variant) {
   const std::function<conf::TrialVerdict(const core::TrialContext&)> body =
       [variant](const core::TrialContext& ctx) { return fuzz_body(ctx, variant); };
-  return core::run_campaign({.seed = seed, .trials = trials, .workers = workers}, body);
+  return core::values(core::run_campaign({.seed = seed,
+                                          .trials = trials,
+                                          .workers = workers,
+                                          .resilience = {.policy = core::FailurePolicy::kFailFast}},
+                                         body));
 }
 
 }  // namespace

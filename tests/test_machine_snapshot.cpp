@@ -275,7 +275,11 @@ std::vector<conf::TrialVerdict> fuzz_campaign(unsigned workers, conf::MachineVar
             conf::kAllFuzzArchs[ctx.index % std::size(conf::kAllFuzzArchs)];
         return conf::run_trial(arch, ctx.seed, ctx.machines, variant);
       };
-  return core::run_campaign({.seed = 0x5EED, .trials = 40, .workers = workers}, body);
+  return core::values(core::run_campaign({.seed = 0x5EED,
+                                          .trials = 40,
+                                          .workers = workers,
+                                          .resilience = {.policy = core::FailurePolicy::kFailFast}},
+                                         body));
 }
 
 TEST(MachineSnapshot, FuzzerPooledMatchesFreshAtAnyWorkerCount) {

@@ -19,7 +19,6 @@
 #include "core/obs/heartbeat.h"
 #include "core/obs/metrics.h"
 #include "core/obs/trace.h"
-#include "core/resilience/resilient.h"
 #include "sim/machine.h"
 #include "sim/thread_pool.h"
 
@@ -234,8 +233,9 @@ std::vector<TrialResult> run_with_obs(bool obs_on, unsigned workers) {
   obs::MetricsRegistry::instance().set_enabled(obs_on);
   obs::Tracer::instance().set_enabled(obs_on);
   core::MachinePool pool;
-  const auto outcomes = core::run_campaign_resilient<TrialResult>(
-      {.seed = 2019, .trials = 48, .workers = workers}, {.machines = &pool}, spectre_trial);
+  const auto outcomes = core::run_campaign<TrialResult>(
+      {.seed = 2019, .trials = 48, .workers = workers, .resilience = {.machines = &pool}},
+      spectre_trial);
   std::vector<TrialResult> results;
   for (const auto& o : outcomes) {
     EXPECT_TRUE(o.ok());
@@ -266,8 +266,9 @@ TEST(PoolAccounting, RegistryCountersMatchLeaseTrafficExactly) {
   reg.reset_for_test();
   core::MachinePool pool;
   constexpr std::size_t kTrials = 40;
-  const auto outcomes = core::run_campaign_resilient<TrialResult>(
-      {.seed = 7, .trials = kTrials, .workers = 2}, {.machines = &pool}, spectre_trial);
+  const auto outcomes = core::run_campaign<TrialResult>(
+      {.seed = 7, .trials = kTrials, .workers = 2, .resilience = {.machines = &pool}},
+      spectre_trial);
   for (const auto& o : outcomes) {
     ASSERT_TRUE(o.ok());
   }

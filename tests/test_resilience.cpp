@@ -25,8 +25,6 @@
 #include "core/campaign.h"
 #include "core/resilience/checkpoint.h"
 #include "core/resilience/monitor.h"
-#include "core/resilience/resilient.h"
-#include "core/shard/supervisor.h"
 #include "core/shutdown.h"
 #include "sim/machine.h"
 #include "sim/program.h"
@@ -40,6 +38,14 @@ using hwsec::ErrorKind;
 using hwsec::SimError;
 
 namespace {
+
+/// `cfg` run under `res` (and `shard`).
+core::CampaignConfig with(core::CampaignConfig cfg, core::ResilienceConfig res,
+                          core::shard::ShardConfig shard = {}) {
+  cfg.resilience = std::move(res);
+  cfg.shard = std::move(shard);
+  return cfg;
+}
 
 /// Checkpoint files land in HWSEC_CHECKPOINT_DIR when set (CI archives the
 /// directory on failure), else the working directory.
@@ -125,8 +131,8 @@ TEST(SimError, OutOfFramesReportsRequestedVsFreeAccounting) {
 // ---- fault containment ------------------------------------------------
 
 std::vector<core::TrialOutcome<std::uint64_t>> poisoned_campaign(unsigned workers) {
-  return core::run_campaign_resilient<std::uint64_t>(
-      {.seed = 7, .trials = 16, .workers = workers}, {},
+  return core::run_campaign<std::uint64_t>(
+      {.seed = 7, .trials = 16, .workers = workers},
       [](const core::TrialContext& ctx) -> std::uint64_t {
         if (ctx.index == 5) {
           throw std::runtime_error("poisoned trial");
@@ -215,8 +221,8 @@ TEST(Watchdog, CampaignConvertsHangingTrialIntoTimedOutSlot) {
   core::ResilienceConfig res;
   res.trial_cycle_budget = 5000;
   auto run = [&res](unsigned workers) {
-    return core::run_campaign_resilient<int>(
-        {.seed = 11, .trials = 4, .workers = workers}, res,
+    return core::run_campaign<int>(
+        {.seed = 11, .trials = 4, .workers = workers, .resilience = res},
         [](const core::TrialContext& ctx) -> int {
           sim::Machine machine(sim::MachineProfile::embedded(), ctx.seed);
           machine.arm_watchdog(ctx.watchdog);
@@ -272,7 +278,7 @@ TEST(Resilience, FailFastThrowsTheLowestIndexFailure) {
   // Sequential: index 10 fails first and everything after is skipped, so
   // the rethrown error must name trial 10 exactly.
   try {
-    core::run_campaign_resilient<int>({.seed = 5, .trials = 32, .workers = 1}, res, body);
+    core::run_campaign<int>({.seed = 5, .trials = 32, .workers = 1, .resilience = res}, body);
     FAIL() << "fail-fast did not throw";
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), ErrorKind::kInternalError);
@@ -281,7 +287,7 @@ TEST(Resilience, FailFastThrowsTheLowestIndexFailure) {
   // Parallel: still throws a structured error (the winning index may be
   // any failing trial that started before the trip).
   EXPECT_THROW(
-      core::run_campaign_resilient<int>({.seed = 5, .trials = 32, .workers = 4}, res, body),
+      core::run_campaign<int>({.seed = 5, .trials = 32, .workers = 4, .resilience = res}, body),
       SimError);
 }
 
@@ -290,8 +296,8 @@ TEST(Resilience, RetryRecoversFromInjectedChaos) {
   res.policy = core::FailurePolicy::kRetry;
   res.max_attempts = 10;
   res.chaos.throw_probability = 0.35;
-  const auto outcomes = core::run_campaign_resilient<std::uint64_t>(
-      {.seed = 21, .trials = 12, .workers = 2}, res,
+  const auto outcomes = core::run_campaign<std::uint64_t>(
+      {.seed = 21, .trials = 12, .workers = 2, .resilience = res},
       [](const core::TrialContext& ctx) { return ctx.seed; });
   unsigned retried = 0;
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
@@ -311,8 +317,8 @@ TEST(Resilience, ChaosOutcomeVectorIsBitIdenticalAcrossWorkerCounts) {
   res.chaos.delay_probability = 0.5;
   res.chaos.max_delay_us = 200;
   auto run = [&res](unsigned workers) {
-    return core::run_campaign_resilient<std::uint64_t>(
-        {.seed = 33, .trials = 20, .workers = workers}, res,
+    return core::run_campaign<std::uint64_t>(
+        {.seed = 33, .trials = 20, .workers = workers, .resilience = res},
         [](const core::TrialContext& ctx) { return ctx.seed ^ 0xABCDEF; });
   };
   const auto sequential = run(1);
@@ -351,8 +357,8 @@ TEST(Resilience, PooledMachinesBitIdenticalToFreshUnderChaos) {
   res.chaos.throw_probability = 0.25;
 
   // Reference: the same chaotic campaign with per-trial fresh construction.
-  const auto reference = core::run_campaign_resilient<std::uint64_t>(
-      {.seed = 77, .trials = 24, .workers = 1}, res,
+  const auto reference = core::run_campaign<std::uint64_t>(
+      {.seed = 77, .trials = 24, .workers = 1, .resilience = res},
       [](const core::TrialContext& ctx) { return leased_machine_trial(ctx, nullptr); });
 
   // Pooled runs must reproduce it bit for bit at every worker count — also
@@ -362,8 +368,8 @@ TEST(Resilience, PooledMachinesBitIdenticalToFreshUnderChaos) {
     core::MachinePool pool;
     core::ResilienceConfig pooled_res = res;
     pooled_res.machines = &pool;
-    const auto outcomes = core::run_campaign_resilient<std::uint64_t>(
-        {.seed = 77, .trials = 24, .workers = workers}, pooled_res,
+    const auto outcomes = core::run_campaign<std::uint64_t>(
+        {.seed = 77, .trials = 24, .workers = workers, .resilience = pooled_res},
         [](const core::TrialContext& ctx) { return leased_machine_trial(ctx, ctx.machines); });
     ASSERT_EQ(outcomes.size(), reference.size());
     for (std::size_t i = 0; i < reference.size(); ++i) {
@@ -430,13 +436,13 @@ TEST(Checkpoint, ResumeSkipsFinishedTrialsBitIdentically) {
   res.checkpoint_every = 1;
   const core::CampaignConfig cfg{.seed = 77, .trials = 10, .workers = 2};
 
-  const auto first = core::run_campaign_resilient<std::uint64_t>(
-      cfg, res, [](const core::TrialContext& ctx) { return ctx.seed * 3; });
+  const auto first = core::run_campaign<std::uint64_t>(
+      with(cfg, res), [](const core::TrialContext& ctx) { return ctx.seed * 3; });
   ASSERT_EQ(first.size(), 10u);
 
   // Second run: the body proves nothing re-executes by throwing on entry.
-  const auto resumed = core::run_campaign_resilient<std::uint64_t>(
-      cfg, res, [](const core::TrialContext&) -> std::uint64_t {
+  const auto resumed = core::run_campaign<std::uint64_t>(
+      with(cfg, res), [](const core::TrialContext&) -> std::uint64_t {
         throw std::runtime_error("resume must not re-run finished trials");
       });
   for (std::size_t i = 0; i < resumed.size(); ++i) {
@@ -468,8 +474,8 @@ TEST(Checkpoint, PartialResumeRunsOnlyTheMissingSlots) {
   core::ResilienceConfig res;
   res.checkpoint_path = path;
   std::array<std::atomic<int>, 8> executed{};
-  const auto outcomes = core::run_campaign_resilient<std::uint64_t>(
-      {.seed = seed, .trials = trials, .workers = 2}, res,
+  const auto outcomes = core::run_campaign<std::uint64_t>(
+      {.seed = seed, .trials = trials, .workers = 2, .resilience = res},
       [&executed, &value_for](const core::TrialContext& ctx) {
         executed[ctx.index].fetch_add(1);
         return value_for(ctx.index);
@@ -491,8 +497,8 @@ TEST(Checkpoint, ErrorSlotsAreCheckpointedAndNotRetriedOnResume) {
   res.checkpoint_every = 1;
   const core::CampaignConfig cfg{.seed = 9, .trials = 6, .workers = 1};
 
-  const auto first = core::run_campaign_resilient<std::uint64_t>(
-      cfg, res, [](const core::TrialContext& ctx) -> std::uint64_t {
+  const auto first = core::run_campaign<std::uint64_t>(
+      with(cfg, res), [](const core::TrialContext& ctx) -> std::uint64_t {
         if (ctx.index == 2) {
           throw std::runtime_error("deterministic failure");
         }
@@ -503,8 +509,8 @@ TEST(Checkpoint, ErrorSlotsAreCheckpointedAndNotRetriedOnResume) {
   // Resume with a body that would now succeed: the recorded failure must
   // be restored, not retried (the campaign's history is authoritative).
   std::atomic<int> reran{0};
-  const auto resumed = core::run_campaign_resilient<std::uint64_t>(
-      cfg, res, [&reran](const core::TrialContext& ctx) {
+  const auto resumed = core::run_campaign<std::uint64_t>(
+      with(cfg, res), [&reran](const core::TrialContext& ctx) {
         reran.fetch_add(1);
         return ctx.seed;
       });
@@ -522,8 +528,8 @@ TEST(Checkpoint, CheckpointingNonTrivialResultIsAConfigError) {
   core::ResilienceConfig res;
   res.checkpoint_path = ckpt_path("nontrivial");
   try {
-    core::run_campaign_resilient<std::string>(
-        {.seed = 1, .trials = 2}, res,
+    core::run_campaign<std::string>(
+        {.seed = 1, .trials = 2, .resilience = res},
         [](const core::TrialContext&) { return std::string("x"); });
     FAIL() << "expected kConfigError";
   } catch (const SimError& e) {
@@ -543,7 +549,7 @@ TEST(Checkpoint, KilledCampaignResumesBitIdentically) {
 
   // Reference: the uninterrupted campaign (no checkpoint involved).
   const auto reference =
-      core::run_campaign_resilient<std::uint64_t>(cfg, core::ResilienceConfig{}, slow_body);
+      core::run_campaign<std::uint64_t>(cfg, slow_body);
 
   const pid_t child = fork();
   ASSERT_NE(child, -1);
@@ -552,7 +558,7 @@ TEST(Checkpoint, KilledCampaignResumesBitIdentically) {
     core::ResilienceConfig res;
     res.checkpoint_path = path;
     res.checkpoint_every = 1;
-    core::run_campaign_resilient<std::uint64_t>(cfg, res, slow_body);
+    core::run_campaign<std::uint64_t>(with(cfg, res), slow_body);
     _exit(0);
   }
   // Parent: wait for at least one atomic checkpoint save, then SIGKILL the
@@ -580,7 +586,7 @@ TEST(Checkpoint, KilledCampaignResumesBitIdentically) {
         std::this_thread::sleep_for(std::chrono::milliseconds(4));
         return ctx.seed * 2 + 1;
       };
-  const auto resumed = core::run_campaign_resilient<std::uint64_t>(cfg, res, counting_body);
+  const auto resumed = core::run_campaign<std::uint64_t>(with(cfg, res), counting_body);
   ASSERT_EQ(resumed.size(), reference.size());
   std::size_t restored = 0;
   for (std::size_t i = 0; i < resumed.size(); ++i) {
@@ -676,8 +682,8 @@ TEST(Checkpoint, GarbageAndBinaryFilesFallBackToFreshRun) {
   // A campaign pointed at the garbage file starts fresh and succeeds.
   core::ResilienceConfig res;
   res.checkpoint_path = path;
-  const auto outcomes = core::run_campaign_resilient<std::uint64_t>(
-      {.seed = 55, .trials = 6, .workers = 1}, res,
+  const auto outcomes = core::run_campaign<std::uint64_t>(
+      {.seed = 55, .trials = 6, .workers = 1, .resilience = res},
       [](const core::TrialContext& ctx) { return ctx.seed + 1; });
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     ASSERT_TRUE(outcomes[i].ok()) << "slot " << i;
@@ -703,8 +709,8 @@ TEST(Shutdown, SigtermFlushesCheckpointAndExits143) {
     core::ResilienceConfig res;
     res.checkpoint_path = path;
     res.checkpoint_every = 1;
-    core::run_campaign_resilient<std::uint64_t>(
-        cfg, res, [](const core::TrialContext& ctx) -> std::uint64_t {
+    core::run_campaign<std::uint64_t>(
+        with(cfg, res), [](const core::TrialContext& ctx) -> std::uint64_t {
           std::this_thread::sleep_for(std::chrono::milliseconds(4));
           return ctx.seed ^ 0xD00D;
         });
@@ -730,13 +736,13 @@ TEST(Shutdown, SigtermFlushesCheckpointAndExits143) {
   EXPECT_TRUE(flushed.load(path)) << "graceful shutdown left no valid checkpoint";
   EXPECT_GT(flushed.size(), 0u);
 
-  const auto reference = core::run_campaign_resilient<std::uint64_t>(
-      cfg, core::ResilienceConfig{},
+  const auto reference = core::run_campaign<std::uint64_t>(
+      cfg,
       [](const core::TrialContext& ctx) -> std::uint64_t { return ctx.seed ^ 0xD00D; });
   core::ResilienceConfig res;
   res.checkpoint_path = path;
-  const auto resumed = core::run_campaign_resilient<std::uint64_t>(
-      cfg, res, [](const core::TrialContext& ctx) -> std::uint64_t {
+  const auto resumed = core::run_campaign<std::uint64_t>(
+      with(cfg, res), [](const core::TrialContext& ctx) -> std::uint64_t {
         return ctx.seed ^ 0xD00D;
       });
   std::size_t restored = 0;
@@ -753,8 +759,8 @@ TEST(Shutdown, RequestSkipsRemainingTrialsAndMarksThem) {
   core::reset_shutdown_for_test();
   core::install_graceful_shutdown();
   std::atomic<int> executed{0};
-  const auto outcomes = core::run_campaign_resilient<int>(
-      {.seed = 3, .trials = 12, .workers = 1}, {},
+  const auto outcomes = core::run_campaign<int>(
+      {.seed = 3, .trials = 12, .workers = 1},
       [&executed](const core::TrialContext& ctx) -> int {
         executed.fetch_add(1);
         if (ctx.index == 4) {
@@ -786,7 +792,7 @@ TEST(Shard, KilledWorkerMidRunStillMergesBitIdentically) {
         return ctx.seed * 31 + ctx.index;
       };
   const auto reference =
-      core::run_campaign_resilient<std::uint64_t>(cfg, core::ResilienceConfig{}, body);
+      core::run_campaign<std::uint64_t>(cfg, body);
 
   // Sharded run with seeded worker SIGKILLs: workers die mid-shard, the
   // supervisor migrates their unfinished trials and respawns. The merged
@@ -797,8 +803,8 @@ TEST(Shard, KilledWorkerMidRunStillMergesBitIdentically) {
   shard.processes = 2;
   shard.shard_size = 6;
   core::shard::ShardStats stats;
-  const auto sharded = core::shard::run_campaign_sharded<std::uint64_t>(
-      cfg, res, shard, body, &stats);
+  const auto sharded = core::run_campaign<std::uint64_t>(
+      with(cfg, res, shard), body, &stats);
   ASSERT_EQ(sharded.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {
     ASSERT_TRUE(sharded[i].ok()) << "slot " << i;

@@ -598,30 +598,36 @@ TEST(BatchedCapture, StreamMatchesParallelCollector) {
   constexpr std::size_t kTotal = 300;  // ragged tail: 4 full batches + 44.
   const auto reference = attacks::collect_aes_traces_parallel(
       kKey, attacks::AesVariant::kTTable, kTotal, rec, /*seed=*/51, /*batch=*/64);
+  // Window 0 is the default (2x workers); 1 delivers every batch in its
+  // own wave, 3 leaves a ragged last wave (5 batches = 3 + 2).
   for (const unsigned workers : {1u, 2u}) {
-    hwsec::core::BatchedCaptureConfig config;
-    config.seed = 51;
-    config.total_traces = kTotal;
-    config.workers = workers;
-    sca::TraceSet assembled;
-    std::size_t last_batch = 0;
-    bool in_order = true;
-    const std::size_t captured = hwsec::core::capture_aes_power_batches(
-        config, kKey, attacks::AesVariant::kTTable, rec,
-        [&](std::size_t batch_index, const sca::TraceSet& batch) {
-          in_order = in_order && (assembled.traces.empty() || batch_index == last_batch + 1);
-          last_batch = batch_index;
-          for (std::size_t i = 0; i < batch.size(); ++i) {
-            assembled.traces.push_back(batch.traces[i]);
-            assembled.plaintexts.push_back(batch.plaintexts[i]);
-            assembled.ciphertexts.push_back(batch.ciphertexts[i]);
-          }
-        });
-    EXPECT_EQ(captured, kTotal);
-    EXPECT_TRUE(in_order);
-    EXPECT_EQ(assembled.traces, reference.traces) << "workers=" << workers;
-    EXPECT_EQ(assembled.plaintexts, reference.plaintexts);
-    EXPECT_EQ(assembled.ciphertexts, reference.ciphertexts);
+    for (const std::size_t window : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+      hwsec::core::BatchedCaptureConfig config;
+      config.seed = 51;
+      config.total_traces = kTotal;
+      config.workers = workers;
+      config.window_batches = window;
+      sca::TraceSet assembled;
+      std::size_t last_batch = 0;
+      bool in_order = true;
+      const std::size_t captured = hwsec::core::capture_aes_power_batches(
+          config, kKey, attacks::AesVariant::kTTable, rec,
+          [&](std::size_t batch_index, const sca::TraceSet& batch) {
+            in_order = in_order && (assembled.traces.empty() || batch_index == last_batch + 1);
+            last_batch = batch_index;
+            for (std::size_t i = 0; i < batch.size(); ++i) {
+              assembled.traces.push_back(batch.traces[i]);
+              assembled.plaintexts.push_back(batch.plaintexts[i]);
+              assembled.ciphertexts.push_back(batch.ciphertexts[i]);
+            }
+          });
+      EXPECT_EQ(captured, kTotal);
+      EXPECT_TRUE(in_order);
+      EXPECT_EQ(assembled.traces, reference.traces)
+          << "workers=" << workers << " window=" << window;
+      EXPECT_EQ(assembled.plaintexts, reference.plaintexts);
+      EXPECT_EQ(assembled.ciphertexts, reference.ciphertexts);
+    }
   }
 }
 

@@ -22,7 +22,7 @@
 #include "core/json.h"
 #include "core/obs/metrics.h"
 #include "core/resilience/checkpoint.h"
-#include "core/resilience/resilient.h"
+#include "core/campaign.h"
 #include "core/service/catalog.h"
 #include "core/service/client.h"
 #include "core/service/daemon.h"
@@ -46,6 +46,14 @@ namespace obs = hwsec::obs;
 #endif
 
 namespace {
+
+/// `cfg` run under `res` (and `shard`).
+core::CampaignConfig with(core::CampaignConfig cfg, core::ResilienceConfig res,
+                          core::shard::ShardConfig shard = {}) {
+  cfg.resilience = std::move(res);
+  cfg.shard = std::move(shard);
+  return cfg;
+}
 
 std::string temp_path(const std::string& name, const std::string& suffix) {
   const char* dir = std::getenv("HWSEC_CHECKPOINT_DIR");
@@ -411,12 +419,12 @@ TEST(CheckpointScope, IdenticalSpecsFromTwoTenantsNeverCrossResume) {
   core::ResilienceConfig res;
   res.checkpoint_path = path;
   res.checkpoint_scope = "alice/job-1";
-  const auto first = core::run_campaign_resilient<std::uint64_t>(cfg, res, body);
+  const auto first = core::run_campaign<std::uint64_t>(with(cfg, res), body);
   EXPECT_EQ(executed.load(), 10);
 
   executed.store(0);
   res.checkpoint_scope = "bob/job-2";
-  const auto second = core::run_campaign_resilient<std::uint64_t>(cfg, res, body);
+  const auto second = core::run_campaign<std::uint64_t>(with(cfg, res), body);
   EXPECT_EQ(executed.load(), 10) << "tenant B resumed tenant A's checkpoint";
   for (std::size_t i = 0; i < second.size(); ++i) {
     EXPECT_FALSE(second[i].from_checkpoint) << "slot " << i;
@@ -534,7 +542,7 @@ class DaemonTest : public ::testing::Test {
 };
 
 // Acceptance criterion: two concurrent tenant campaigns, each bit-identical
-// to a direct run_campaign_resilient invocation at the same seed.
+// to a direct run_campaign invocation at the same seed.
 TEST_F(DaemonTest, TwoConcurrentTenantsMatchDirectRunsBitForBit) {
   StartDaemon();
   const std::string spec_a = SpecJson("alice", "mix", 42, 30);

@@ -19,8 +19,7 @@
 #include <vector>
 
 #include "core/machine_pool.h"
-#include "core/resilience/resilient.h"
-#include "core/shard/supervisor.h"
+#include "core/campaign.h"
 #include "core/shard/wire.h"
 #include "sim/machine.h"
 #include "sim/rng.h"
@@ -33,6 +32,14 @@ using hwsec::ErrorKind;
 using hwsec::SimError;
 
 namespace {
+
+/// `cfg` run under `res` (and `shard`).
+core::CampaignConfig with(core::CampaignConfig cfg, core::ResilienceConfig res,
+                          core::shard::ShardConfig shard = {}) {
+  cfg.resilience = std::move(res);
+  cfg.shard = std::move(shard);
+  return cfg;
+}
 
 std::string ckpt_path(const std::string& name) {
   const char* dir = std::getenv("HWSEC_CHECKPOINT_DIR");
@@ -207,8 +214,7 @@ const std::function<Fingerprint(const core::TrialContext&)> kFingerprintBody =
     };
 
 std::vector<core::TrialOutcome<Fingerprint>> reference_run(const core::CampaignConfig& cfg) {
-  return core::run_campaign_resilient<Fingerprint>(cfg, core::ResilienceConfig{},
-                                                   kFingerprintBody);
+  return core::run_campaign<Fingerprint>(cfg, kFingerprintBody);
 }
 
 void expect_bit_identical(const std::vector<core::TrialOutcome<Fingerprint>>& got,
@@ -234,8 +240,8 @@ TEST(Shard, BitIdenticalToInProcessAtEveryProcessCount) {
     shard_cfg.processes = processes;
     shard_cfg.shard_size = 5;  // uneven tail shard on purpose (37 = 7*5 + 2).
     core::shard::ShardStats stats;
-    const auto got = core::shard::run_campaign_sharded<Fingerprint>(
-        cfg, {}, shard_cfg, kFingerprintBody, &stats);
+    const auto got = core::run_campaign<Fingerprint>(
+        with(cfg, {}, shard_cfg), kFingerprintBody, &stats);
     expect_bit_identical(got, want, "processes=" + std::to_string(processes));
     EXPECT_EQ(stats.trials_executed, cfg.trials) << "processes=" << processes;
     EXPECT_EQ(stats.shards_total, 8u) << "processes=" << processes;
@@ -252,11 +258,11 @@ TEST(Shard, PoisonedTrialErrorCrossesTheProcessBoundaryIntact) {
         return kFingerprintBody(ctx);
       };
   const auto want =
-      core::run_campaign_resilient<Fingerprint>(cfg, core::ResilienceConfig{}, body);
+      core::run_campaign<Fingerprint>(cfg, body);
   core::shard::ShardConfig shard_cfg;
   shard_cfg.processes = 2;
   const auto got =
-      core::shard::run_campaign_sharded<Fingerprint>(cfg, {}, shard_cfg, body);
+      core::run_campaign<Fingerprint>(with(cfg, {}, shard_cfg), body);
   ASSERT_EQ(got.size(), want.size());
   ASSERT_FALSE(got[11].ok());
   const SimError& e = *got[11].error;
@@ -283,11 +289,11 @@ TEST(Shard, MachinePoolBodyBitIdenticalAcrossProcesses) {
         return static_cast<std::uint64_t>(m.memory().read32(frame)) ^ m.rng().next_u64();
       };
   const auto want =
-      core::run_campaign_resilient<std::uint64_t>(cfg, core::ResilienceConfig{}, body);
+      core::run_campaign<std::uint64_t>(cfg, body);
   core::shard::ShardConfig shard_cfg;
   shard_cfg.processes = 3;
   shard_cfg.shard_size = 2;
-  const auto got = core::shard::run_campaign_sharded<std::uint64_t>(cfg, {}, shard_cfg, body);
+  const auto got = core::run_campaign<std::uint64_t>(with(cfg, {}, shard_cfg), body);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     ASSERT_TRUE(got[i].ok()) << "slot " << i;
@@ -306,8 +312,8 @@ TEST(Shard, WorkerKillChaosConvergesBitIdentically) {
   shard_cfg.processes = 3;
   shard_cfg.shard_size = 5;
   core::shard::ShardStats stats;
-  const auto got = core::shard::run_campaign_sharded<Fingerprint>(
-      cfg, res, shard_cfg, kFingerprintBody, &stats);
+  const auto got = core::run_campaign<Fingerprint>(
+      with(cfg, res, shard_cfg), kFingerprintBody, &stats);
   expect_bit_identical(got, want, "kill-chaos");
   EXPECT_GT(stats.worker_deaths, 0u) << "chaos rolled no kills; test is vacuous";
   EXPECT_GT(stats.migrations, 0u);
@@ -325,8 +331,8 @@ TEST(Shard, SigstoppedWorkerIsDetectedByHeartbeatAgeAndRecovered) {
   shard_cfg.heartbeat_interval = std::chrono::milliseconds(10);
   shard_cfg.hang_timeout = std::chrono::milliseconds(150);
   core::shard::ShardStats stats;
-  const auto got = core::shard::run_campaign_sharded<Fingerprint>(
-      cfg, res, shard_cfg, kFingerprintBody, &stats);
+  const auto got = core::run_campaign<Fingerprint>(
+      with(cfg, res, shard_cfg), kFingerprintBody, &stats);
   expect_bit_identical(got, want, "sigstop");
   EXPECT_GT(stats.worker_hangs, 0u) << "chaos rolled no stops; test is vacuous";
   EXPECT_GT(stats.migrations, 0u);
@@ -343,8 +349,8 @@ TEST(Shard, TotalWorkerLossFallsBackInProcessAndStillConverges) {
   shard_cfg.processes = 2;
   shard_cfg.max_respawns = 0;
   core::shard::ShardStats stats;
-  const auto got = core::shard::run_campaign_sharded<Fingerprint>(
-      cfg, res, shard_cfg, kFingerprintBody, &stats);
+  const auto got = core::run_campaign<Fingerprint>(
+      with(cfg, res, shard_cfg), kFingerprintBody, &stats);
   expect_bit_identical(got, want, "total-loss");
   EXPECT_EQ(stats.worker_respawns, 0u);
   EXPECT_GT(stats.worker_deaths, 0u);
@@ -366,7 +372,7 @@ TEST(Shard, FailFastThrowsTheLowestIndexFailureAfterDraining) {
   core::shard::ShardConfig shard_cfg;
   shard_cfg.processes = 2;
   try {
-    core::shard::run_campaign_sharded<Fingerprint>(cfg, res, shard_cfg, body);
+    core::run_campaign<Fingerprint>(with(cfg, res, shard_cfg), body);
     FAIL() << "sharded fail-fast did not throw";
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), ErrorKind::kGuestFault);
@@ -378,8 +384,8 @@ TEST(Shard, FailFastThrowsTheLowestIndexFailureAfterDraining) {
 }
 
 TEST(Shard, NonTrivialResultIsAConfigError) {
-  EXPECT_THROW(core::shard::run_campaign_sharded<std::string>(
-                   {.seed = 1, .trials = 2, .workers = 1}, {}, {},
+  EXPECT_THROW(core::run_campaign<std::string>(
+                   {.seed = 1, .trials = 2, .workers = 1, .shard = {.processes = 2}},
                    [](const core::TrialContext&) { return std::string("x"); }),
                SimError);
 }
@@ -396,15 +402,15 @@ TEST(Shard, ResumesFromCheckpointAtADifferentProcessCount) {
   core::ResilienceConfig res;
   res.checkpoint_path = path;
   res.checkpoint_every = 1;
-  core::run_campaign_resilient<Fingerprint>(cfg, res, kFingerprintBody);
+  core::run_campaign<Fingerprint>(with(cfg, res), kFingerprintBody);
 
   // Second run: sharded at 2 processes against the same file. Every slot
   // must restore; zero fresh executions.
   core::shard::ShardConfig shard_cfg;
   shard_cfg.processes = 2;
   core::shard::ShardStats stats;
-  const auto resumed = core::shard::run_campaign_sharded<Fingerprint>(
-      cfg, res, shard_cfg, kFingerprintBody, &stats);
+  const auto resumed = core::run_campaign<Fingerprint>(
+      with(cfg, res, shard_cfg), kFingerprintBody, &stats);
   expect_bit_identical(resumed, want, "full-restore");
   EXPECT_EQ(stats.trials_executed, 0u);
   for (const auto& o : resumed) {
@@ -438,8 +444,8 @@ TEST(Shard, PartialCheckpointRunsOnlyMissingSlots) {
   shard_cfg.processes = 2;
   shard_cfg.shard_size = 4;
   core::shard::ShardStats stats;
-  const auto resumed = core::shard::run_campaign_sharded<Fingerprint>(
-      cfg, res, shard_cfg, kFingerprintBody, &stats);
+  const auto resumed = core::run_campaign<Fingerprint>(
+      with(cfg, res, shard_cfg), kFingerprintBody, &stats);
   expect_bit_identical(resumed, want, "partial-restore");
   EXPECT_EQ(stats.trials_executed, cfg.trials - prefilled);
   for (const std::size_t i : {0u, 1u, 5u, 9u, 10u, 11u, 17u}) {

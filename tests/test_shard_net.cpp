@@ -29,7 +29,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/resilience/resilient.h"
+#include "core/campaign.h"
 #include "core/service/catalog.h"
 #include "core/service/remote_worker.h"
 #include "core/service/spec.h"
@@ -89,17 +89,15 @@ service::ServiceOutcomes run_sharded_spec(const service::CampaignSpec& spec,
                                           shard::ShardConfig shard_cfg,
                                           shard::ShardStats* stats = nullptr,
                                           core::ResilienceConfig res = {}) {
-  const auto body = service::make_trial_body(spec);
   core::CampaignConfig cfg;
   cfg.seed = spec.seed;
   cfg.trials = static_cast<std::size_t>(spec.trials);
   cfg.workers = spec.workers;
-  res.policy = spec.policy;
-  res.max_attempts = spec.max_attempts;
-  res.trial_cycle_budget = spec.trial_cycle_budget;
-  shard_cfg.remote_spec_json = service::encode_spec(spec);
-  return shard::run_campaign_sharded<service::ServiceTrialResult>(cfg, res, shard_cfg,
-                                                                  body, stats);
+  cfg.resilience = service::spec_resilience(spec, std::move(res));
+  cfg.shard = std::move(shard_cfg);
+  cfg.shard.remote_spec_json = service::encode_spec(spec);
+  return core::run_campaign<service::ServiceTrialResult>(cfg, service::make_trial_body(spec),
+                                                         stats);
 }
 
 // ---- in-thread worker fleet (TSan-safe: no fork anywhere) ---------------
@@ -676,6 +674,40 @@ TEST(NetFault, UnreachableHostsExhaustBackoffBudgetAndFallBack) {
   EXPECT_EQ(dials, 3u);  // the budget, exactly — backoff never spins free retries.
   EXPECT_EQ(stats.fallback_trials, spec.trials);
   EXPECT_EQ(stats.remote_workers, 0u);
+}
+
+TEST(NetFault, NothingPendingDialsNoHost) {
+  unsigned dials = 0;
+  shard::ShardConfig cfg;
+  cfg.processes = 0;
+  cfg.hosts = fake_hosts(2);
+  cfg.dialer = [&dials](const shard::HostSpec&,
+                        std::string& error) -> std::unique_ptr<shard::Transport> {
+    ++dials;
+    error = "connection refused";
+    return nullptr;
+  };
+
+  // A resume whose checkpoint already holds every slot.
+  const std::string path = ckpt_path("net_nothing_pending");
+  std::remove(path.c_str());
+  const auto spec = mix_spec(0x0DD, 12);
+  core::ResilienceConfig res;
+  res.checkpoint_path = path;
+  const auto want = service::run_spec(spec, res);
+  shard::ShardStats stats;
+  const auto resumed = run_sharded_spec(spec, cfg, &stats, res);
+  expect_identical(resumed, want, "fully-restored");
+  for (const auto& o : resumed) {
+    EXPECT_TRUE(o.from_checkpoint);
+  }
+  EXPECT_EQ(stats.trials_executed, 0u);
+  EXPECT_EQ(dials, 0u);
+  std::remove(path.c_str());
+
+  // A campaign with no trials at all.
+  EXPECT_TRUE(run_sharded_spec(mix_spec(0x0DD, 0), cfg).empty());
+  EXPECT_EQ(dials, 0u);
 }
 
 TEST(NetFault, EveryRemoteDyingShiftsWorkInProcess) {

@@ -13,7 +13,7 @@
 // `job <id> <state> digest=<hex16> records=<n>` that scripts (and the CI
 // smoke job) parse; the digest is fnv1a-64 over the encoded outcome
 // records, directly comparable between a daemon run and a direct
-// run_campaign_resilient run of the same spec — `run-direct` executes the
+// run_campaign run of the same spec — `run-direct` executes the
 // spec in-process through exactly that path and prints the same line, so
 // `submit` vs `run-direct` digest equality IS the daemon's bit-identity
 // guarantee, checkable from a shell.
