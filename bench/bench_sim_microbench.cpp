@@ -5,7 +5,10 @@
 // not any paper claim.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "attacks/physical/power_analysis.h"
+#include "attacks/transient/spectre.h"
 #include "crypto/aes.h"
 #include "crypto/sha256.h"
 #include "sca/cpa.h"
@@ -103,6 +106,48 @@ void BM_CpaKeyAttack(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CpaKeyAttack)->Arg(128)->Arg(1024)->Unit(benchmark::kMillisecond);
+
+sim::MachineProfile profile_arg(std::int64_t arg) {
+  switch (arg) {
+    case 0:
+      return sim::MachineProfile::embedded();
+    case 1:
+      return sim::MachineProfile::mobile();
+    default:
+      return sim::MachineProfile::server();
+  }
+}
+
+/// A cold machine: construction plus the pristine snapshot, which is what
+/// a machine pool pays once per machine.
+void BM_MachineBuild(benchmark::State& state) {
+  const sim::MachineProfile profile = profile_arg(state.range(0));
+  for (auto _ : state) {
+    sim::Machine machine(profile, 1);
+    benchmark::DoNotOptimize(machine.snapshot());
+  }
+  state.SetLabel(profile.name);
+}
+BENCHMARK(BM_MachineBuild)->DenseRange(0, 2)->Unit(benchmark::kMicrosecond);
+
+/// A warm machine: reset_to + reseed after one Spectre-PHT trial on a
+/// mobile machine, what a pool pays per trial. Only the reset is timed.
+void BM_MachineReset(benchmark::State& state) {
+  sim::Machine machine(sim::MachineProfile::mobile(), 1);
+  const sim::MachineSnapshot pristine = machine.snapshot();
+  for (auto _ : state) {
+    {
+      attacks::SpectreV1 spectre(machine, 0);
+      benchmark::DoNotOptimize(spectre.leak_byte(spectre.plant_secret("K")));
+    }
+    const auto start = std::chrono::steady_clock::now();
+    machine.reset_to(pristine);
+    machine.reseed(1);
+    state.SetIterationTime(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count());
+  }
+}
+BENCHMARK(BM_MachineReset)->UseManualTime()->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -68,11 +68,15 @@ MachineLease MachinePool::acquire(const sim::MachineProfile& profile, std::uint6
   // construction is exactly the cost the pool exists to amortize, and
   // first-round builds should proceed in parallel).
   pool_builds_counter().add(1);
-  obs::Span build_span("machine_build");
   auto entry = std::make_unique<Entry>();
-  entry->machine = std::make_unique<sim::Machine>(profile, seed);
-  entry->machine->set_uop_cache(uop_cache_);
-  entry->pristine = std::make_unique<sim::MachineSnapshot>(entry->machine->snapshot());
+  {
+    static const obs::Histogram kBuildUs = obs::histogram("pool_build_us");
+    obs::ScopedTimer build_timer(kBuildUs);
+    obs::Span build_span("machine_build");
+    entry->machine = std::make_unique<sim::Machine>(profile, seed);
+    entry->machine->set_uop_cache(uop_cache_);
+    entry->pristine = std::make_unique<sim::MachineSnapshot>(entry->machine->snapshot());
+  }
   entry->profile_name = profile.name;
   entry->in_use = true;
 

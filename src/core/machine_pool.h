@@ -1,12 +1,14 @@
 // Snapshot/reset machine pool: amortizes per-trial Machine construction.
 //
-// Constructing a sim::Machine zeroes all of DRAM and builds page tables,
-// cache arrays and per-core state — ~1 ms for the mobile profile, which
-// dominated per-trial cost in BENCH_campaign.json. The pool builds each
-// machine once, captures a pristine post-construction MachineSnapshot, and
-// between leases restores that snapshot (dirty-page restore in
-// sim::PhysicalMemory makes this proportional to the trial's footprint)
-// and reseeds the machine for the next trial.
+// Constructing a sim::Machine builds cache arrays and per-core state and
+// maps (without touching) its DRAM: 0.07–0.3 ms for the mobile profile
+// and 1.1–1.4 ms for the server, against ~5 µs for a reset
+// (BM_MachineBuild and BM_MachineReset, RelWithDebInfo, 4-core Xeon).
+// The pool builds each machine once, captures a pristine
+// post-construction MachineSnapshot, and between leases restores that
+// snapshot (dirty-page restore in sim::PhysicalMemory makes this
+// proportional to the trial's footprint) and reseeds the machine for the
+// next trial.
 //
 // The equivalence contract — the reason pooling cannot change results:
 // Machine construction consumes its seed only through Rng(seed) and

@@ -6,15 +6,21 @@
 // creation/teardown, which is exactly why SGX-class designs add a memory
 // encryption engine (modeled in src/arch/sgx.*).
 //
-// Snapshot/restore: snapshot() captures the full image and turns on
-// dirty-page tracking (one bit per 4 KiB page, set by every write path).
-// restore() copies back only the pages dirtied since the snapshot, so the
-// cost of resetting a machine between campaign trials scales with the
-// trial's write footprint, not with DRAM size. The snapshot/reset layer in
-// sim/machine.h builds on this.
+// Cost model: a machine costs what it writes, not its DRAM size. The
+// backing store is an anonymous kernel-zeroed mapping that construction
+// never touches, so untouched DRAM costs neither time nor resident memory.
+// Every write path marks its pages in a dirty bitmap (one bit per 4 KiB
+// page); together with the pages non-zero in the latest snapshot's image
+// this gives the written-page set, a superset of the non-zero pages.
+// snapshot() visits only written pages and stores the non-zero ones
+// packed, so a snapshot costs the pages written so far, not DRAM size.
+// restore() rewrites only pages dirtied since the snapshot, so resetting a
+// machine between campaign trials scales with the trial's write
+// footprint. The snapshot/reset layer in sim/machine.h builds on this.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -25,9 +31,13 @@ namespace hwsec::sim {
 class PhysicalMemory {
  public:
   /// Creates DRAM of `bytes` size (rounded up to a whole page), zeroed.
+  /// Pages are materialized by the kernel on first write.
   explicit PhysicalMemory(std::uint32_t bytes);
 
-  std::uint32_t size() const { return static_cast<std::uint32_t>(data_.size()); }
+  PhysicalMemory(const PhysicalMemory&) = delete;
+  PhysicalMemory& operator=(const PhysicalMemory&) = delete;
+
+  std::uint32_t size() const { return size_; }
 
   bool contains(PhysAddr addr, std::uint32_t len = 1) const {
     return addr < size() && static_cast<std::uint64_t>(addr) + len <= size();
@@ -52,19 +62,32 @@ class PhysicalMemory {
   void fill(PhysAddr addr, std::uint32_t len, std::uint8_t value);
 
   // -- snapshot / dirty-page restore ------------------------------------
-  struct Snapshot {
-    std::vector<std::uint8_t> image;
+  /// Sparse DRAM image: one slot per page, naming either a packed copy of
+  /// the page or "all zero".
+  class Snapshot {
+   public:
+    /// Pages held as copies; every other page is zero in the image.
+    std::uint32_t stored_pages() const {
+      return static_cast<std::uint32_t>(pages_.size() / kPageSize);
+    }
+
+   private:
+    friend class PhysicalMemory;
+    static constexpr std::uint32_t kZeroPage = ~0u;
+    std::vector<std::uint32_t> slot_;  ///< per page: index into pages_, or kZeroPage.
+    std::vector<std::uint8_t> pages_;  ///< the non-zero pages, packed.
   };
 
-  /// Captures the current contents and enables dirty-page tracking from
-  /// this point on. Subsequent snapshots restart tracking.
+  /// Captures the current contents, visiting only written pages (every
+  /// page if a mutable raw() span was handed out since the last
+  /// snapshot/restore), and restarts dirty tracking from a clean slate.
   Snapshot snapshot();
 
-  /// Restores the snapshot image, copying back only pages dirtied since
-  /// snapshot() (a full copy if tracking was bypassed via mutable raw()).
-  /// Tracking stays enabled with a clean slate, so a machine can be
-  /// restored repeatedly from the same snapshot. The snapshot must come
-  /// from this memory (asserted via size).
+  /// Restores the image of this memory's latest snapshot(), rewriting only
+  /// pages dirtied since snapshot() (every page if tracking was bypassed
+  /// via mutable raw()). Tracking restarts with a clean slate, so a
+  /// machine can be restored repeatedly from the same snapshot. The
+  /// snapshot's size is asserted.
   void restore(const Snapshot& snap);
 
   /// Dirty pages since the last snapshot()/restore(), for tests and for
@@ -72,20 +95,33 @@ class PhysicalMemory {
   std::uint32_t dirty_page_count() const;
 
   /// Direct access to the backing store, for checkpointing in tests. The
-  /// mutable overload bypasses dirty tracking, so using it while a
-  /// snapshot is live poisons the fast path: the next restore() falls
-  /// back to a full-image copy (correct, just slower).
-  std::span<const std::uint8_t> raw() const { return data_; }
+  /// mutable overload bypasses dirty tracking, so it poisons the
+  /// written-page set until the next snapshot()/restore(): that snapshot
+  /// scans every page, that restore rewrites every page, and zero fills
+  /// write unconditionally (correct, just slower).
+  std::span<const std::uint8_t> raw() const { return {data_.get(), size_}; }
   std::span<std::uint8_t> raw() {
     raw_dirty_ = true;
-    return data_;
+    return {data_.get(), size_};
   }
 
  private:
+  struct Unmap {
+    std::size_t bytes;
+    void operator()(std::uint8_t* p) const;
+  };
+
+  std::uint32_t page_count() const { return size_ >> kPageShift; }
+  std::uint8_t* page_ptr(std::uint32_t page) {
+    return data_.get() + (static_cast<std::size_t>(page) << kPageShift);
+  }
+  /// True if the page is in the written-page set, i.e. may be non-zero:
+  /// dirtied since the last snapshot/restore, or non-zero in the image.
+  bool written(std::uint32_t page) const {
+    return ((dirty_[page >> 6] | nonzero_[page >> 6]) >> (page & 63)) & 1;
+  }
+
   void mark_dirty(PhysAddr addr, std::uint32_t len) {
-    if (!tracking_) {
-      return;
-    }
     const std::uint32_t first = addr >> kPageShift;
     const std::uint32_t last = (addr + len - 1) >> kPageShift;
     for (std::uint32_t p = first; p <= last; ++p) {
@@ -93,13 +129,16 @@ class PhysicalMemory {
     }
   }
 
-  std::vector<std::uint8_t> data_;
-  std::vector<std::uint64_t> dirty_;  ///< bitmap, one bit per page.
-  /// Pages that were all-zero in the snapshot image; lets fill(..., 0) of a
-  /// still-clean zero page skip both the write and the dirty bit.
-  std::vector<std::uint64_t> zero_snap_;
-  bool tracking_ = false;
-  bool raw_dirty_ = false;  ///< mutable raw() handed out since snapshot.
+  std::unique_ptr<std::uint8_t, Unmap> data_;
+  std::uint32_t size_ = 0;
+  /// Pages written since the last snapshot()/restore() (since construction
+  /// before the first snapshot), one bit per page.
+  std::vector<std::uint64_t> dirty_;
+  /// Pages non-zero in the latest snapshot's image (none before the first
+  /// snapshot); restore() returns every page to that image, so it holds
+  /// across restores. dirty_ | nonzero_ is the written-page set.
+  std::vector<std::uint64_t> nonzero_;
+  bool raw_dirty_ = false;  ///< mutable raw() handed out since snapshot/restore.
 };
 
 }  // namespace hwsec::sim

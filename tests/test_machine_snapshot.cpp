@@ -199,6 +199,56 @@ TEST(MachineSnapshot, MutableRawSpanForcesFullRestore) {
   EXPECT_EQ(m.memory().read8(100), 0u);
 }
 
+TEST(MachineSnapshot, MutableRawSpanBeforeSnapshotIsCaptured) {
+  sim::Machine m(sim::MachineProfile::embedded(), 5);
+  // A raw-span write is invisible to the written-page set, so the next
+  // snapshot must scan every page rather than only the written ones. The
+  // last DRAM page is one nothing else writes.
+  const sim::PhysAddr addr = m.memory().size() - 3;
+  m.memory().raw()[addr] = 0x6B;
+  const sim::MachineSnapshot snap = m.snapshot();
+  m.memory().write8(addr, 0);
+  m.reset_to(snap);
+  EXPECT_EQ(m.memory().read8(addr), 0x6Bu) << "snapshot missed a raw-span write";
+}
+
+TEST(MachineSnapshot, PageFirstWrittenAfterSnapshotRestoresToZeros) {
+  sim::Machine m(sim::MachineProfile::mobile(), 6);
+  const sim::MachineSnapshot snap = m.snapshot();
+  const sim::PhysAddr page = m.memory().size() - sim::kPageSize;
+  m.memory().fill(page, sim::kPageSize, 0xA5);
+  m.memory().write32(page + 8, 0x12345678);
+  m.reset_to(snap);
+  for (sim::PhysAddr a = page; a < page + sim::kPageSize; a += 4) {
+    ASSERT_EQ(m.memory().read32(a), 0u) << "at " << a;
+  }
+  EXPECT_EQ(m.memory().dirty_page_count(), 0u);
+}
+
+TEST(MachineSnapshot, ZeroFilledPageRestoresItsBytes) {
+  sim::Machine m(sim::MachineProfile::mobile(), 7);
+  const sim::PhysAddr page = m.memory().size() - 2 * sim::kPageSize;
+  m.memory().write32(page, 0xCAFEF00D);
+  m.memory().write8(page + sim::kPageSize - 1, 0x42);
+  const sim::MachineSnapshot snap = m.snapshot();
+  // The zero fill of a page that was non-zero at snapshot time must be a
+  // real, tracked write, not the skip reserved for never-written pages.
+  m.memory().fill(page, sim::kPageSize, 0);
+  EXPECT_EQ(m.memory().read32(page), 0u);
+  m.reset_to(snap);
+  EXPECT_EQ(m.memory().read32(page), 0xCAFEF00Du);
+  EXPECT_EQ(m.memory().read8(page + sim::kPageSize - 1), 0x42u);
+}
+
+TEST(MachineSnapshot, PristineServerSnapshotStoresUnderOnePercentOfDram) {
+  sim::Machine m(sim::MachineProfile::server(), 8);
+  const sim::MachineSnapshot snap = m.snapshot();
+  const std::uint32_t dram_pages = m.memory().size() / sim::kPageSize;
+  EXPECT_LT(snap.memory.stored_pages() * 100u, dram_pages)
+      << snap.memory.stored_pages() << " of " << dram_pages
+      << " pages stored; a pristine snapshot should hold only the pages construction wrote";
+}
+
 // ---- decoded-program cache vs snapshot/reset ---------------------------
 
 /// The pooled UopCache hands out shared_ptr<const DecodedProgram>; machine

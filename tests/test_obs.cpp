@@ -276,6 +276,9 @@ TEST(PoolAccounting, RegistryCountersMatchLeaseTrafficExactly) {
   // Counters must agree with the pool's own books...
   EXPECT_EQ(snap.counter("pool_machines_built"), pool.machines_built());
   EXPECT_EQ(snap.counter("pool_leases_served"), pool.leases_served());
+  // Every build is timed once, so cold-pool cost is visible as a metric.
+  // (The on/off determinism test above runs the same timed build path.)
+  EXPECT_EQ(snap.histograms.at("pool_build_us").count, snap.counter("pool_machines_built"));
   // ...and with the lease traffic the campaign actually generated.
   EXPECT_EQ(snap.counter("pool_leases_served"), kTrials);
   EXPECT_EQ(snap.counter("pool_machines_built") + snap.counter("pool_resets"),
