@@ -8,6 +8,7 @@
 #include <chrono>
 
 #include "attacks/physical/power_analysis.h"
+#include "attacks/transient/environment.h"
 #include "attacks/transient/spectre.h"
 #include "crypto/aes.h"
 #include "crypto/sha256.h"
@@ -148,6 +149,97 @@ void BM_MachineReset(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MachineReset)->UseManualTime()->Unit(benchmark::kMicrosecond);
+
+/// A mobile machine restored to its pristine snapshot, then one full
+/// Spectre-PHT trial (train, flush, victim run, reload sweep) on top: the
+/// cache state the probe-array channel works in.
+struct SpectreScene {
+  sim::Machine machine{sim::MachineProfile::mobile(), 1};
+  sim::MachineSnapshot pristine = machine.snapshot();
+
+  attacks::SpectreV1 run_trial() {
+    machine.reset_to(pristine);
+    machine.reseed(1);
+    attacks::SpectreV1 spectre(machine, 0);
+    benchmark::DoNotOptimize(spectre.leak_byte(spectre.plant_secret("K")));
+    return spectre;
+  }
+};
+
+/// The untimed trial dwarfs the timed operation, so the scene benchmarks
+/// run a fixed count instead of letting the manual time pick one.
+constexpr std::int64_t kSceneIterations = 20'000;
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
+/// flush_lines over the 256-line probe array. Arg 0: the receive-window
+/// flush of a trial (no probe line cached; the trial's code, data and
+/// page-table lines are). Arg 1: right after the reload sweep (every probe
+/// line cached in the L1D and the LLC).
+void BM_FlushLines(benchmark::State& state) {
+  SpectreScene scene;
+  const bool warm = state.range(0) == 1;
+  for (auto _ : state) {
+    attacks::SpectreV1 spectre = scene.run_trial();
+    const sim::PhysAddr probe = spectre.process().probe_phys();
+    if (!warm) {
+      scene.machine.flush_lines(probe, attacks::kProbeStride, 256);
+    }
+    const auto start = std::chrono::steady_clock::now();
+    scene.machine.flush_lines(probe, attacks::kProbeStride, 256);
+    state.SetIterationTime(seconds_since(start));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 256);
+  state.SetLabel(warm ? "probe cached" : "probe flushed");
+}
+BENCHMARK(BM_FlushLines)
+    ->Arg(0)
+    ->Arg(1)
+    ->UseManualTime()
+    ->Iterations(kSceneIterations)
+    ->Unit(benchmark::kNanosecond);
+
+/// hottest_probe_line after a receive window in which one line ('K') was
+/// heated: 256 timed reloads, each an L1D and an LLC miss but one.
+void BM_ProbeReload(benchmark::State& state) {
+  SpectreScene scene;
+  for (auto _ : state) {
+    attacks::SpectreV1 spectre = scene.run_trial();
+    attacks::UserProcess& process = spectre.process();
+    process.flush_probe();
+    scene.machine.touch(0, sim::kDomainNormal, process.probe_phys() + 'K' * attacks::kProbeStride);
+    const auto start = std::chrono::steady_clock::now();
+    const auto hot = process.hottest_probe_line();
+    state.SetIterationTime(seconds_since(start));
+    if (hot != 'K') {
+      state.SkipWithError("reload sweep did not find the heated line");
+      break;
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 256);
+}
+BENCHMARK(BM_ProbeReload)
+    ->UseManualTime()
+    ->Iterations(kSceneIterations)
+    ->Unit(benchmark::kMicrosecond);
+
+/// CacheHierarchy::restore of the pristine snapshot after one trial: the
+/// cache share of a pool reset (journalled lines copied back per level).
+void BM_CacheRestore(benchmark::State& state) {
+  SpectreScene scene;
+  for (auto _ : state) {
+    scene.run_trial();
+    const auto start = std::chrono::steady_clock::now();
+    scene.machine.caches().restore(scene.pristine.caches);
+    state.SetIterationTime(seconds_since(start));
+  }
+}
+BENCHMARK(BM_CacheRestore)
+    ->UseManualTime()
+    ->Iterations(kSceneIterations)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -52,13 +52,6 @@ Cache::Cache(CacheConfig config, std::uint64_t rng_seed)
   plru_bits_.assign(config_.num_sets(), 0);
 }
 
-Cache::WayRange Cache::ways_for(DomainId domain) const {
-  if (domain < partition_lut_.size() && partition_lut_[domain].count != 0) {
-    return partition_lut_[domain];
-  }
-  return {0, config_.ways};
-}
-
 bool Cache::probe(PhysAddr addr) const {
   const PhysAddr base = addr & ~(config_.line_size - 1);
   const std::uint32_t set = set_index(addr);
@@ -81,6 +74,85 @@ bool Cache::probe_owned(PhysAddr addr, DomainId domain) const {
     }
   }
   return false;
+}
+
+std::uint32_t Cache::flush_lines(PhysAddr base, std::uint32_t stride, std::uint32_t count) {
+  if (empty()) {
+    return 0;
+  }
+  const std::uint64_t lo = line_base(base);
+  const std::uint64_t hi = lo + (std::uint64_t{count} << line_shift_);
+  std::uint32_t dropped = 0;
+  if (stride != config_.line_size || scramble_key_ != 0 || hi > (std::uint64_t{1} << 32)) {
+    // A scrambled index scatters the lines over arbitrary sets, and a range
+    // that wraps the address space revisits addresses: flush one by one.
+    PhysAddr a = base;
+    for (std::uint32_t i = 0; i < count; ++i, a += stride) {
+      dropped += flush_line(a) ? 1 : 0;
+    }
+    return dropped;
+  }
+  // Occupied sets among [from, to), read 64 at a time from the bitmap.
+  const auto sweep = [&](std::uint32_t from, std::uint32_t to) {
+    for (std::uint32_t word = from >> 6; (word << 6) < to; ++word) {
+      std::uint64_t bits = occupied_sets_[word];
+      if ((word << 6) < from) {
+        bits &= ~std::uint64_t{0} << (from & 63);
+      }
+      if (to - (word << 6) < 64) {
+        bits &= (std::uint64_t{1} << (to & 63)) - 1;
+      }
+      while (bits != 0) {
+        const std::uint32_t set = (word << 6) | static_cast<std::uint32_t>(std::countr_zero(bits));
+        bits &= bits - 1;
+        dropped += drop_range_in_set(set, lo, hi);
+      }
+    }
+  };
+  // The range's lines occupy consecutive sets from its first line's set,
+  // wrapping past the last set at most once.
+  const std::uint32_t num_sets = set_mask_ + 1;
+  const std::uint32_t first = set_index(base);
+  const std::uint32_t end = first + std::min(count, num_sets);
+  sweep(first, std::min(end, num_sets));
+  if (end > num_sets) {
+    sweep(0, end - num_sets);
+  }
+  return dropped;
+}
+
+std::uint32_t Cache::drop_range_in_set(std::uint32_t set, std::uint64_t lo, std::uint64_t hi) {
+  const std::uint32_t valid = valid_ways_[set];
+  std::uint32_t dropped = 0;  // ways dropped, as a mask.
+  const auto dropped_copy_of = [&](PhysAddr tag) {
+    for (std::uint32_t m = dropped; m != 0; m &= m - 1) {
+      if (line_at(set, static_cast<std::uint32_t>(std::countr_zero(m))).tag_base == tag) {
+        return true;
+      }
+    }
+    return false;
+  };
+  for (std::uint32_t mask = valid; mask != 0; mask &= mask - 1) {
+    const std::uint32_t w = static_cast<std::uint32_t>(std::countr_zero(mask));
+    Line& line = line_at(set, w);
+    if (line.tag_base < lo || line.tag_base >= hi || dropped_copy_of(line.tag_base)) {
+      continue;
+    }
+    mark_touched(set, w);
+    line.valid = false;
+    dropped |= 1u << w;
+  }
+  if (dropped == 0) {
+    return 0;
+  }
+  // The per-line bookkeeping of flush_line, once per set.
+  const auto n = static_cast<std::uint32_t>(std::popcount(dropped));
+  valid_ways_[set] = valid & ~dropped;
+  mark_occupancy(set);
+  valid_lines_ -= n;
+  removal_epoch_ += n;
+  stats_.flushes += n;
+  return n;
 }
 
 std::uint32_t Cache::flush_domain(DomainId domain) {
@@ -214,12 +286,14 @@ void Cache::restore_from(const Cache& snap) {
     removal_epoch_ = epoch_after;
     return;
   }
-  for (const std::uint32_t index : touched_lines_) {
+  for (const std::uint32_t entry : touched_lines_) {
+    const std::uint32_t set = entry >> 5;
+    const std::uint32_t way = entry & 31;
+    const std::uint32_t index = set * config_.ways + way;
     Line& cur = lines_[index];
     const Line& old = snap.lines_[index];
-    const std::uint32_t set = index / config_.ways;
     if (cur.valid != old.valid) {
-      const std::uint32_t bit = 1u << (index - set * config_.ways);
+      const std::uint32_t bit = 1u << way;
       if (old.valid) {
         valid_ways_[set] |= bit;
         ++valid_lines_;

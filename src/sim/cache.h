@@ -94,6 +94,17 @@ class Cache {
   /// line was dropped.
   bool flush_line(PhysAddr addr);
 
+  /// Invalidates the lines containing `base`, `base + stride`, ... (`count`
+  /// addresses); returns the number of lines dropped. Same final state,
+  /// stats and removal epoch as flush_line() per address. With stride ==
+  /// line_size and an unscrambled index, the flushed lines are exactly the
+  /// cached lines tagged in [line_base(base), line_base(base) + count *
+  /// line_size), and those sit in at most min(count, num_sets) consecutive
+  /// sets: the occupancy bitmap names the ones to visit, 64 sets per word,
+  /// instead of one set-index computation per address. Other strides and
+  /// scrambled indexes take the per-address loop.
+  std::uint32_t flush_lines(PhysAddr base, std::uint32_t stride, std::uint32_t count);
+
   /// Invalidates every line owned by `domain`; returns the count dropped.
   std::uint32_t flush_domain(DomainId domain);
 
@@ -209,7 +220,13 @@ class Cache {
     std::uint32_t count = 0;
   };
 
-  WayRange ways_for(DomainId domain) const;
+  WayRange ways_for(DomainId domain) const {
+    if (partitions_installed_ != 0 && domain < partition_lut_.size() &&
+        partition_lut_[domain].count != 0) {
+      return partition_lut_[domain];
+    }
+    return {0, config_.ways};
+  }
   std::uint32_t choose_victim(std::uint32_t set, WayRange range);
   Line& line_at(std::uint32_t set, std::uint32_t way) { return lines_[set * config_.ways + way]; }
   const Line& line_at(std::uint32_t set, std::uint32_t way) const {
@@ -224,9 +241,12 @@ class Cache {
   /// patterns) then restores hundreds of lines, not hundreds of full way
   /// arrays. The epoch check makes repeat touches O(1) without clearing a
   /// bitmap per reset. PLRU bits only change alongside a line touch in the
-  /// same set, so the line journal covers them too (restore_from derives
-  /// the set as index / ways).
-  void mark_touched(std::uint32_t set, std::uint32_t way) {
+  /// same set, so the line journal covers them too. Entries are packed
+  /// (set << 5) | way (at most 32 ways), so restore_from reads the set
+  /// without dividing by the way count. Forced inline: left to itself the
+  /// compiler outlines everything past the tracking test, a call on every
+  /// miss of a reload sweep.
+  [[gnu::always_inline]] void mark_touched(std::uint32_t set, std::uint32_t way) {
     if (!tracking_) {
       return;
     }
@@ -235,8 +255,14 @@ class Cache {
       return;
     }
     touched_epoch_[index] = epoch_;
-    touched_lines_.push_back(index);
+    touched_lines_.push_back((set << 5) | way);
   }
+
+  /// Drops, in one set, the lowest-way copy of every line tagged in
+  /// [lo, hi): what flush_line() once per tag would drop. (A way partition
+  /// can leave two copies of one line in a set; flush_line drops only the
+  /// first.) Returns the number dropped.
+  std::uint32_t drop_range_in_set(std::uint32_t set, std::uint64_t lo, std::uint64_t hi);
 
   /// Per-domain stats slot, growing the flat array on first sight of a
   /// domain. DomainIds are small dense integers, so a vector indexed by id
@@ -297,7 +323,7 @@ class Cache {
   /// restore path (a full clear every 255 re-arms).
   std::uint8_t epoch_ = 0;
   std::vector<std::uint8_t> touched_epoch_;  ///< per line: epoch of last touch.
-  std::vector<std::uint32_t> touched_lines_;  ///< line indices touched this epoch.
+  std::vector<std::uint32_t> touched_lines_;  ///< (set << 5) | way touched this epoch.
 };
 
 // access() and flush_line() are defined inline: a single probe-array trial

@@ -39,47 +39,6 @@ bool CacheHierarchy::excluded(PhysAddr addr, Exclusion scope_at_least) const {
   return false;
 }
 
-MemoryAccessOutcome CacheHierarchy::access_through(Cache* l1, CoreId core, DomainId domain,
-                                                   PhysAddr addr, AccessType type) {
-  (void)core;
-  Cycle latency = 0;
-  const bool skip_all = excluded(addr, Exclusion::kAllLevels);
-  const bool skip_shared = excluded(addr, Exclusion::kSharedOnly);
-
-  if (l1 != nullptr && !skip_all) {
-    latency += l1->config().hit_latency;
-    const auto r = l1->access(addr, domain, type);
-    if (r.hit) {
-      return {ServiceLevel::kL1, latency};
-    }
-  }
-  if (llc_ != nullptr && !skip_all && !skip_shared) {
-    latency += llc_->config().hit_latency;
-    const auto r = llc_->access(addr, domain, type);
-    if (!r.hit && config_.inclusive_llc && r.evicted_line.has_value()) {
-      back_invalidate(*r.evicted_line);
-    }
-    if (r.hit) {
-      return {ServiceLevel::kLlc, latency};
-    }
-  }
-  latency += config_.dram_latency;
-  const bool fully_uncached =
-      skip_all || (l1 == nullptr && (llc_ == nullptr || skip_shared));
-  return {fully_uncached ? ServiceLevel::kUncached : ServiceLevel::kDram, latency};
-}
-
-MemoryAccessOutcome CacheHierarchy::access(CoreId core, DomainId domain, PhysAddr addr,
-                                           AccessType type) {
-  Cache* l1 = config_.has_l1 ? l1d_[core].get() : nullptr;
-  return access_through(l1, core, domain, addr, type);
-}
-
-MemoryAccessOutcome CacheHierarchy::fetch(CoreId core, DomainId domain, PhysAddr addr) {
-  Cache* l1 = config_.has_l1 ? l1i_[core].get() : nullptr;
-  return access_through(l1, core, domain, addr, AccessType::kExecute);
-}
-
 bool CacheHierarchy::in_l1d(CoreId core, PhysAddr addr) const {
   return config_.has_l1 && l1d_[core]->probe(addr);
 }
@@ -101,23 +60,14 @@ void CacheHierarchy::flush_line(PhysAddr addr) {
 }
 
 void CacheHierarchy::flush_lines(PhysAddr base, std::uint32_t stride, std::uint32_t count) {
-  const auto sweep = [&](Cache& c) {
-    if (c.empty()) {
-      return;
-    }
-    PhysAddr a = base;
-    for (std::uint32_t i = 0; i < count; ++i, a += stride) {
-      c.flush_line(a);
-    }
-  };
   for (auto& c : l1d_) {
-    sweep(*c);
+    c->flush_lines(base, stride, count);
   }
   for (auto& c : l1i_) {
-    sweep(*c);
+    c->flush_lines(base, stride, count);
   }
   if (llc_ != nullptr) {
-    sweep(*llc_);
+    llc_->flush_lines(base, stride, count);
   }
 }
 

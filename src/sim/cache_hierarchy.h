@@ -53,10 +53,15 @@ class CacheHierarchy {
   const HierarchyConfig& config() const { return config_; }
 
   /// Data access by `core` on behalf of `domain`.
-  MemoryAccessOutcome access(CoreId core, DomainId domain, PhysAddr addr, AccessType type);
+  MemoryAccessOutcome access(CoreId core, DomainId domain, PhysAddr addr, AccessType type) {
+    return access_through(config_.has_l1 ? l1d_[core].get() : nullptr, domain, addr, type);
+  }
 
   /// Instruction fetch (separate L1I, shared LLC).
-  MemoryAccessOutcome fetch(CoreId core, DomainId domain, PhysAddr addr);
+  MemoryAccessOutcome fetch(CoreId core, DomainId domain, PhysAddr addr) {
+    return access_through(config_.has_l1 ? l1i_[core].get() : nullptr, domain, addr,
+                          AccessType::kExecute);
+  }
 
   /// Non-destructive probes, used by tests and by the Foreshadow L1TF
   /// model (which needs "is this physical line in core X's L1D?").
@@ -68,10 +73,13 @@ class CacheHierarchy {
 
   /// Batch CLFLUSH over `count` addresses `stride` bytes apart, starting at
   /// `base`. Equivalent to calling flush_line() per address (the per-cache
-  /// flushes are independent, so reordering cache-outer is unobservable),
-  /// but skips caches that are entirely empty — the common case for the
-  /// other cores' private caches — turning the probe-array flush loop from
-  /// addresses x caches scans into a handful of cache visits.
+  /// flushes are independent, so reordering cache-outer is unobservable).
+  /// Each level runs Cache::flush_lines: an empty cache (the common case
+  /// for the other cores' private caches) costs one test; with stride ==
+  /// line_size and an unscrambled index (every built-in profile), a cache
+  /// visits only the occupied sets among the at most min(count, num_sets)
+  /// sets the range maps to, read 64 at a time from its occupancy bitmap.
+  /// Scrambled caches and other strides flush address by address.
   void flush_lines(PhysAddr base, std::uint32_t stride, std::uint32_t count);
 
   /// Flushes core-private caches only (enclave context switch in
@@ -131,7 +139,7 @@ class CacheHierarchy {
 
  private:
   bool excluded(PhysAddr addr, Exclusion scope_at_least) const;
-  MemoryAccessOutcome access_through(Cache* l1, CoreId core, DomainId domain, PhysAddr addr,
+  MemoryAccessOutcome access_through(Cache* l1, DomainId domain, PhysAddr addr,
                                      AccessType type);
   void back_invalidate(PhysAddr line_base);
 
@@ -142,5 +150,39 @@ class CacheHierarchy {
   std::vector<UncacheableRange> uncacheable_;
   std::uint64_t exclusion_epoch_ = 0;
 };
+
+// access_through() is defined inline: every simulated load, store and fetch
+// (a probe-array reload sweep alone is 256 of them per trial) passes here.
+inline MemoryAccessOutcome CacheHierarchy::access_through(Cache* l1, DomainId domain,
+                                                          PhysAddr addr, AccessType type) {
+  Cycle latency = 0;
+  // Without an uncacheable range (the common case) neither exclusion scan
+  // can match, so both are skipped.
+  const bool any_excluded = !uncacheable_.empty();
+  const bool skip_all = any_excluded && excluded(addr, Exclusion::kAllLevels);
+  const bool skip_shared = any_excluded && excluded(addr, Exclusion::kSharedOnly);
+
+  if (l1 != nullptr && !skip_all) {
+    latency += l1->config().hit_latency;
+    const auto r = l1->access(addr, domain, type);
+    if (r.hit) {
+      return {ServiceLevel::kL1, latency};
+    }
+  }
+  if (llc_ != nullptr && !skip_all && !skip_shared) {
+    latency += llc_->config().hit_latency;
+    const auto r = llc_->access(addr, domain, type);
+    if (!r.hit && config_.inclusive_llc && r.evicted_line.has_value()) {
+      back_invalidate(*r.evicted_line);
+    }
+    if (r.hit) {
+      return {ServiceLevel::kLlc, latency};
+    }
+  }
+  latency += config_.dram_latency;
+  const bool fully_uncached =
+      skip_all || (l1 == nullptr && (llc_ == nullptr || skip_shared));
+  return {fully_uncached ? ServiceLevel::kUncached : ServiceLevel::kDram, latency};
+}
 
 }  // namespace hwsec::sim

@@ -137,6 +137,7 @@ Machine::Machine(MachineProfile profile, std::uint64_t seed)
 
 MachineSnapshot Machine::snapshot() {
   MachineSnapshot snap{.owner = this,
+                       .generation = ++snapshot_generation_,
                        .memory = memory_.snapshot(),
                        .caches = caches_.snapshot(),
                        .bus = bus_.snapshot(),
@@ -161,6 +162,13 @@ void Machine::reset_to(const MachineSnapshot& snap) {
   if (snap.owner != this) {
     throw SimError(ErrorKind::kConfigError,
                    "machine snapshot restored on a different machine than it was taken from")
+        .with_machine(profile_.name);
+  }
+  if (snap.generation != snapshot_generation_) {
+    throw SimError(ErrorKind::kConfigError,
+                   "stale machine snapshot: generation " + std::to_string(snap.generation) +
+                       " restored after snapshot " + std::to_string(snapshot_generation_) +
+                       " of the same machine; only the latest snapshot can be restored")
         .with_machine(profile_.name);
   }
   memory_.restore(snap.memory);
@@ -247,17 +255,13 @@ PhysAddr Machine::alloc_frame_trampoline(void* ctx) {
   return static_cast<Machine*>(ctx)->alloc_frame();
 }
 
-MemoryAccessOutcome Machine::touch(CoreId core, DomainId domain, PhysAddr addr, AccessType type) {
-  return caches_.access(core, domain, addr, type);
-}
-
 void Machine::arm_watchdog(const TrialWatchdog* watchdog) {
   for (auto& cpu : cpus_) {
     cpu->set_watchdog(watchdog);
   }
 }
 
-Cycle Machine::observe_latency(Cycle latency) {
+Cycle Machine::observe_coarsened(Cycle latency) {
   const TimerConfig& t = profile_.timer;
   Cycle observed = latency;
   if (t.jitter > 0) {

@@ -84,9 +84,12 @@ class Machine;
 ///
 /// A snapshot is tied to the Machine it was taken from (component copies
 /// hold callbacks that capture pointers into that machine); reset_to()
-/// rejects snapshots from any other instance.
+/// rejects snapshots from any other instance. It is also tied to its
+/// moment: the DRAM dirty set and the cache journals record changes since
+/// the machine's latest snapshot only, so reset_to() rejects an older one.
 struct MachineSnapshot {
   const Machine* owner = nullptr;
+  std::uint64_t generation = 0;  ///< which of the owner's snapshots this is.
   PhysicalMemory::Snapshot memory;
   CacheHierarchy::Snapshot caches;
   Bus::Snapshot bus;
@@ -145,7 +148,9 @@ class Machine {
   /// crypto library "running on" this machine). Returns timing exactly as
   /// the CPU data path would.
   MemoryAccessOutcome touch(CoreId core, DomainId domain, PhysAddr addr,
-                            AccessType type = AccessType::kRead);
+                            AccessType type = AccessType::kRead) {
+    return caches_.access(core, domain, addr, type);
+  }
   /// CLFLUSH from instrumented code.
   void flush_line(PhysAddr addr) { caches_.flush_line(addr); }
   /// Batch CLFLUSH of `count` lines at `base`, `base + stride`, ... from
@@ -163,7 +168,10 @@ class Machine {
   /// What an attacker's timer reports for a true duration of `latency`
   /// cycles, under the platform's TimeWarp-style timer policy. A perfect
   /// timer (the default) returns the input unchanged.
-  Cycle observe_latency(Cycle latency);
+  Cycle observe_latency(Cycle latency) {
+    const TimerConfig& t = profile_.timer;
+    return t.jitter == 0 && t.granularity <= 1 ? latency : observe_coarsened(latency);
+  }
 
   /// Arms (nullptr: disarms) a per-trial watchdog on every core. While
   /// armed, guest execution that exceeds the watchdog's cycle budget — or
@@ -189,9 +197,11 @@ class Machine {
   /// (see core/machine_pool.h).
   MachineSnapshot snapshot();
 
-  /// Restores a snapshot previously taken from *this machine*; snapshots
+  /// Restores the latest snapshot taken from *this machine*; snapshots
   /// are not transferable (their component copies carry callbacks bound to
-  /// the owning machine) and a foreign snapshot throws kConfigError.
+  /// the owning machine), so a foreign snapshot throws kConfigError, and
+  /// an older one (superseded by a later snapshot()) throws kConfigError
+  /// too: the restore copies back only what changed since the latest.
   /// reset_to(snapshot()) followed by reseed(s) is bit-identical to a
   /// fresh Machine(profile, s) — the determinism suites enforce this.
   void reset_to(const MachineSnapshot& snap);
@@ -204,6 +214,7 @@ class Machine {
 
  private:
   static PhysAddr alloc_frame_trampoline(void* ctx);
+  Cycle observe_coarsened(Cycle latency);
 
   MachineProfile profile_;
   PhysicalMemory memory_;
@@ -217,6 +228,7 @@ class Machine {
   std::shared_ptr<UopCache> uop_cache_;  ///< keeps the shared cache alive.
   PhysAddr next_frame_;
   Asid next_asid_ = 1;
+  std::uint64_t snapshot_generation_ = 0;  ///< stamp of the latest snapshot.
 };
 
 }  // namespace hwsec::sim

@@ -175,6 +175,26 @@ TEST(MachineSnapshot, ForeignSnapshotRejected) {
          "machine must be refused, not silently corrupt it";
 }
 
+TEST(MachineSnapshot, StaleSnapshotRejectedLatestRestores) {
+  sim::Machine m(sim::MachineProfile::embedded(), 5);
+  const sim::MachineSnapshot a = m.snapshot();
+  m.memory().write8(0x20000, 0x11);
+  const sim::MachineSnapshot b = m.snapshot();
+  m.memory().write8(0x20000, 0x22);
+  // The dirty set and the cache journals only cover changes since b, so
+  // restoring a would keep 0x11: it must be refused by name instead.
+  try {
+    m.reset_to(a);
+    ADD_FAILURE() << "reset_to accepted a snapshot older than the latest";
+  } catch (const hwsec::SimError& e) {
+    EXPECT_EQ(e.kind(), hwsec::ErrorKind::kConfigError);
+  }
+  m.reset_to(b);
+  EXPECT_EQ(m.memory().read8(0x20000), 0x11);
+  m.reset_to(b);  // the latest snapshot stays restorable.
+  EXPECT_EQ(m.memory().read8(0x20000), 0x11);
+}
+
 TEST(MachineSnapshot, DirtyPageTrackingCoversTrialWrites) {
   sim::Machine m(sim::MachineProfile::mobile(), 3);
   const sim::MachineSnapshot snap = m.snapshot();
