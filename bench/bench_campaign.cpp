@@ -15,6 +15,9 @@
 // (core/shard) runs the same campaign at 1/2/4 worker processes plus a
 // worker-kill chaos row, and every merged vector must be bit-identical to
 // the in-process reference (HWSEC_SHARD_TRIALS overrides the trial count).
+// A non-chaos row (E12b or E12c) must also report zero migrations and zero
+// duplicate trials: where nothing fails or stalls, no shard tail may be
+// split off and re-run, or the run fails.
 //
 // The worker sweep is clamped to hardware_concurrency: a "speedup" row
 // measured with more workers than cores is scheduler noise presented as
@@ -386,6 +389,7 @@ int main(int argc, char** argv) {
     core::shard::ShardStats stats;
   };
   std::vector<ShardPoint> shard_curve;
+  bool healthy_rows_clean = true;  // false = a non-chaos row migrated or duplicated work.
   // Steady-state sizing: at the old 64-trial default the fork/pipe/machine
   // setup dominated the measurement and the speedup column read < 1
   // (0.07x at 4 procs in early BENCH_campaign.json) — a setup artifact
@@ -416,8 +420,8 @@ int main(int argc, char** argv) {
       }
     }
     Table st({"procs", "chaos", "setup s", "seconds", "trials/sec", "speedup",
-              "bit-identical", "deaths", "respawns", "migrations"},
-             {7, 7, 9, 10, 12, 9, 14, 8, 10, 11});
+              "bit-identical", "deaths", "respawns", "migrations", "duplicates"},
+             {7, 7, 9, 10, 12, 9, 14, 8, 10, 11, 11});
     st.print_header();
     struct ShardRow {
       unsigned procs;
@@ -472,12 +476,17 @@ int main(int argc, char** argv) {
       p.peak_rss_mib = hwsec::bench::peak_rss_mib();
       p.stats = stats;
       shard_curve.push_back(p);
+      if (!row.chaos && (stats.migrations != 0 || stats.duplicate_trials != 0)) {
+        healthy_rows_clean = false;
+      }
       st.print_row(p.processes, p.chaos ? "kill" : "-", p.setup_seconds, p.seconds,
                    p.trials_per_sec, p.speedup, p.deterministic ? "YES" : "DIVERGED",
-                   p.stats.worker_deaths, p.stats.worker_respawns, p.stats.migrations);
+                   p.stats.worker_deaths, p.stats.worker_respawns, p.stats.migrations,
+                   p.stats.duplicate_trials);
     }
     std::cout << "(chaos row: seeded worker SIGKILLs — the supervisor migrates each dead\n"
-                 " worker's shard and respawns it; the merged vector must still match)\n";
+                 " worker's shard and respawns it; the merged vector must still match.\n"
+                 " Other rows must read 0 migrations and 0 duplicates, or the run fails)\n";
   }
 
   // ---- E12c: multi-host loopback — the campaign over real TCP ----------
@@ -518,8 +527,8 @@ int main(int argc, char** argv) {
     }
 
     Table mt({"hosts", "chaos", "seconds", "trials/sec", "speedup", "bit-identical",
-              "deaths", "migrations", "redials", "fallback"},
-             {7, 7, 10, 12, 9, 14, 8, 11, 9, 10});
+              "deaths", "migrations", "duplicates", "redials", "fallback"},
+             {7, 7, 10, 12, 9, 14, 8, 11, 11, 9, 10});
     mt.print_header();
     struct MultiHostRow {
       std::size_t hosts;
@@ -588,13 +597,18 @@ int main(int argc, char** argv) {
       if (row.chaos && stats.migrations == 0) {
         multihost_chaos_migrated = false;  // nothing died mid-shard: vacuous chaos.
       }
+      if (!row.chaos && (stats.migrations != 0 || stats.duplicate_trials != 0)) {
+        healthy_rows_clean = false;
+      }
       mt.print_row(p.hosts, p.chaos ? "kill" : "-", p.seconds, p.trials_per_sec, p.speedup,
                    p.deterministic ? "YES" : "DIVERGED", p.stats.worker_deaths,
-                   p.stats.migrations, p.stats.remote_reconnects, p.stats.fallback_trials);
+                   p.stats.migrations, p.stats.duplicate_trials, p.stats.remote_reconnects,
+                   p.stats.fallback_trials);
     }
     std::cout << "(chaos row: worker kills sever the TCP link mid-shard; the supervisor\n"
               << " migrates, re-dials, and finishes in-process once the budget is spent —\n"
-              << " with nonzero migrations, or the row counts as a failed run)\n";
+              << " with nonzero migrations, or the row counts as a failed run. Other rows\n"
+              << " must read 0 migrations and 0 duplicates)\n";
   }
 
   // ---- machine-readable record for CI ----------------------------------
@@ -656,6 +670,7 @@ int main(int argc, char** argv) {
          << ", \"deterministic\": " << (p.deterministic ? "true" : "false")
          << ", \"worker_deaths\": " << p.stats.worker_deaths
          << ", \"migrations\": " << p.stats.migrations
+         << ", \"duplicate_trials\": " << p.stats.duplicate_trials
          << ", \"remote_workers\": " << p.stats.remote_workers
          << ", \"remote_reconnects\": " << p.stats.remote_reconnects
          << ", \"fallback_trials\": " << p.stats.fallback_trials << "}"
@@ -665,6 +680,7 @@ int main(int argc, char** argv) {
        << "  \"multihost_trials\": " << multihost_trials << ",\n"
        << "  \"multihost_chaos_migrated\": " << (multihost_chaos_migrated ? "true" : "false")
        << ",\n"
+       << "  \"healthy_rows_clean\": " << (healthy_rows_clean ? "true" : "false") << ",\n"
        << "  \"shard_trials\": " << shard_trials << ",\n"
        << "  \"peak_rss_mib\": " << hwsec::bench::peak_rss_mib() << ",\n"
        << "  \"all_deterministic\": " << (all_deterministic ? "true" : "false") << "\n"
@@ -727,5 +743,10 @@ int main(int argc, char** argv) {
 
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return all_deterministic && fast_enough && multihost_chaos_migrated ? 0 : 1;
+  if (!healthy_rows_clean) {
+    std::cerr << "a non-chaos sharded row migrated or duplicated trials\n";
+  }
+  return all_deterministic && fast_enough && multihost_chaos_migrated && healthy_rows_clean
+             ? 0
+             : 1;
 }

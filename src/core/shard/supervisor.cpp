@@ -101,6 +101,8 @@ struct WorkerLink {
   pid_t pid = -1;  ///< >= 0: forked local worker (waitpid target).
   std::unique_ptr<Transport> transport;
   Clock::time_point last_seen;
+  /// Last kTrial from this worker, or its current assignment's start.
+  Clock::time_point last_progress;
   std::optional<Assignment> current;
   bool alive = false;
   bool kill_sent = false;  ///< hang detector already SIGKILLed it (locals).
@@ -635,15 +637,34 @@ class Supervisor {
         continue;
       }
       link.current = shard;
+      link.last_progress = Clock::now();
       result_.stats.assignments += 1;
       Obs::assignments().add(1);
     }
   }
 
+  /// How long a busy worker may go without delivering a trial before its
+  /// tail is split off. A healthy worker's finished trials reach us within
+  /// one heartbeat_interval (every beat flushes its pending batch), so
+  /// several silent beats mean a slow trial or a slow host, not batching.
+  /// Capped below hang_timeout, so a stall splits before it kills. Zero
+  /// (no heartbeat and no hang detection) splits whenever a peer is idle.
+  std::chrono::milliseconds stall_threshold() const {
+    std::chrono::milliseconds threshold = config_.heartbeat_interval * 4;
+    const std::chrono::milliseconds hang_cap = config_.hang_timeout / 2;
+    if (hang_cap.count() > 0 && (threshold.count() <= 0 || hang_cap < threshold)) {
+      threshold = hang_cap;
+    }
+    return threshold;
+  }
+
   /// Straggler migration: the queue is dry, someone is idle, and a busy
-  /// worker still owes many trials — peel off the tail half of its
-  /// unfinished range for the idle one. Both may compute the overlap;
-  /// records merge idempotently because trial bytes are index-pure.
+  /// worker still owes many trials but has delivered none for
+  /// stall_threshold() — peel off the tail half of its unfinished range
+  /// for the idle one. Both may compute the overlap; records merge
+  /// idempotently because trial bytes are index-pure. A worker that keeps
+  /// delivering is left alone, so a campaign where nothing stalls re-runs
+  /// nothing.
   void migrate_stragglers() {
     if (!pending_.empty() || result_.failfast_tripped) {
       return;
@@ -653,9 +674,11 @@ class Supervisor {
     if (!anyone_idle) {
       return;
     }
+    const auto stalled_since = Clock::now() - stall_threshold();
     for (auto& worker : workers_) {
       WorkerLink& link = *worker;
-      if (!link.alive || !link.current.has_value() || link.current->split_done) {
+      if (!link.alive || !link.current.has_value() || link.current->split_done ||
+          link.last_progress > stalled_since) {
         continue;
       }
       std::vector<std::uint64_t> unfinished;
@@ -758,6 +781,7 @@ class Supervisor {
           handle_death(link, /*hang=*/false);
           return;
         }
+        link.last_progress = link.last_seen;
         record_trial(static_cast<std::size_t>(trial.index), std::move(trial.record));
         break;
       }

@@ -21,9 +21,12 @@
 //    hang_timeout is SIGKILLed and handled as a crash (this is how a
 //    SIGSTOP — or a scheduler wedge — is caught);
 //  * straggler     — when the queue drains and a worker still holds many
-//    unfinished trials, the tail half of its shard is migrated to an idle
-//    survivor; duplicate completions are idempotent because both processes
-//    compute identical bytes for the same index;
+//    unfinished trials but its progress has stalled (no trial delivered
+//    for several heartbeat intervals), the tail half of its shard is
+//    migrated to an idle survivor; duplicate completions are idempotent
+//    because both processes compute identical bytes for the same index.
+//    A worker that keeps delivering is never split, so a healthy
+//    campaign re-runs nothing;
 //  * supervisor crash — completed trials are persisted through the
 //    existing atomic checkpoint layer (CheckpointFile keyed by the
 //    campaign identity); a restarted supervisor reloads it and re-executes
@@ -58,10 +61,15 @@ struct ShardConfig {
   /// campaign runs in-process on the thread pool.
   unsigned processes = 0;
   /// Trials per shard. 0 = auto: spread the campaign so each worker sees
-  /// several shards (max(1, trials / (fan-out * 4))) — small enough for
-  /// migration to matter, large enough to amortize frame traffic.
+  /// several shards (max(1, trials / (fan-out * 4))) — small enough that
+  /// a dead worker's migrated shard is cheap to redo, large enough to
+  /// amortize the assignment round trip. (Trial frames are batched by the
+  /// worker whatever the shard size.)
   std::size_t shard_size = 0;
-  /// Worker heartbeat period (liveness beacons on the result pipe).
+  /// Worker heartbeat period (liveness beacons on the result pipe). Each
+  /// beat also flushes the worker's pending trial batch, and a busy worker
+  /// that delivers no trial for 4 beats (capped at hang_timeout / 2) is a
+  /// straggler whose shard tail may be split off.
   std::chrono::milliseconds heartbeat_interval{25};
   /// A worker silent for longer than this is presumed hung, SIGKILLed
   /// (local) or disconnected (remote), and its shard migrated. 0 disables
@@ -136,7 +144,7 @@ std::size_t planned_shard_size(const ShardConfig& config, std::size_t trials);
 struct ShardStats {
   std::uint64_t shards_total = 0;       ///< shards in the initial plan.
   std::uint64_t assignments = 0;        ///< assignment frames sent (incl. re-assignments).
-  std::uint64_t migrations = 0;         ///< shards re-enqueued after a death/hang/straggler split.
+  std::uint64_t migrations = 0;         ///< shards re-enqueued after a death/hang/stall split.
   std::uint64_t worker_deaths = 0;      ///< workers that exited without being told to.
   std::uint64_t worker_hangs = 0;       ///< workers killed by the heartbeat-age detector.
   std::uint64_t worker_respawns = 0;    ///< replacement workers forked.

@@ -53,11 +53,14 @@ FdTransport::FdTransport(int read_fd, int write_fd, std::uint32_t max_payload)
 
 FdTransport::~FdTransport() { FdTransport::close(); }
 
-bool FdTransport::send(const Frame& frame) {
+bool FdTransport::send_frames(std::span<const Frame> frames) {
   if (write_fd_ < 0) {
     return false;
   }
-  const std::string wire = encode_frame(frame);
+  std::string wire;
+  for (const Frame& frame : frames) {
+    wire += encode_frame(frame);
+  }
   return write_bytes(wire.data(), wire.size());
 }
 
@@ -152,40 +155,53 @@ bool FaultyTransport::stalled() const {
          std::chrono::steady_clock::now() < stall_until_;
 }
 
-bool FaultyTransport::send(const Frame& frame) {
+bool FaultyTransport::send_frames(std::span<const Frame> frames) {
   if (write_fd_ < 0) {
     return false;
   }
-  const std::uint64_t index = frames_out_++;
   if (stalled()) {
+    frames_out_ += frames.size();
     return true;  // a wedged link swallows writes without erroring.
   }
-  const std::string wire = encode_frame(frame);
-  if (roll(/*lane=*/1, index) < plan_.disconnect_probability) {
-    fired_.disconnects += 1;
-    if (plan_.counts) {
-      plan_.counts->disconnects += 1;
+  // Faults roll per frame, so one can land anywhere inside a batch; the
+  // unfaulted frames before it still leave in one write.
+  std::string wire;
+  for (const Frame& frame : frames) {
+    const std::uint64_t index = frames_out_++;
+    const std::size_t start = wire.size();
+    wire += encode_frame(frame);
+    if (roll(/*lane=*/1, index) < plan_.disconnect_probability) {
+      const std::uint64_t mid_batch = start > 0 ? 1 : 0;
+      fired_.disconnects += 1;
+      fired_.mid_batch_disconnects += mid_batch;
+      if (plan_.counts) {
+        plan_.counts->disconnects += 1;
+        plan_.counts->mid_batch_disconnects += mid_batch;
+      }
+      write_bytes(wire.data(), start + (wire.size() - start) / 2);  // truncated mid-frame...
+      close();                                                       // ...then the link drops.
+      return false;
     }
-    write_bytes(wire.data(), wire.size() / 2);  // truncated mid-frame...
-    close();                                    // ...then the link drops.
-    return false;
-  }
-  if (roll(/*lane=*/2, index) < plan_.short_write_probability) {
-    fired_.short_writes += 1;
-    if (plan_.counts) {
-      plan_.counts->short_writes += 1;
-    }
-    // Scatter the frame across many tiny writes; the peer's FrameBuffer
-    // must reassemble across arbitrary fragmentation.
-    for (std::size_t off = 0; off < wire.size(); off += 3) {
-      const std::size_t n = std::min<std::size_t>(3, wire.size() - off);
-      if (!write_bytes(wire.data() + off, n)) {
+    if (roll(/*lane=*/2, index) < plan_.short_write_probability) {
+      fired_.short_writes += 1;
+      if (plan_.counts) {
+        plan_.counts->short_writes += 1;
+      }
+      // Scatter the frame across many tiny writes; the peer's FrameBuffer
+      // must reassemble across arbitrary fragmentation.
+      if (start > 0 && !write_bytes(wire.data(), start)) {
         return false;
       }
+      for (std::size_t off = start; off < wire.size(); off += 3) {
+        const std::size_t n = std::min<std::size_t>(3, wire.size() - off);
+        if (!write_bytes(wire.data() + off, n)) {
+          return false;
+        }
+      }
+      wire.clear();
     }
-    return true;
   }
-  return write_bytes(wire.data(), wire.size());
+  return wire.empty() || write_bytes(wire.data(), wire.size());
 }
 
 ssize_t FaultyTransport::read_some(char* data, std::size_t n, bool& would_block) {

@@ -3,11 +3,12 @@
 // PR 7 built the supervisor on raw pipe fds; the multi-host engine needs
 // the same protocol over TCP sockets, over socketpairs in tests, and over
 // a deliberately misbehaving wire in the fault-injection suite. Transport
-// is that seam: one frame in, frames out, with the FrameBuffer reassembly
-// and corrupt-stream poisoning from wire.h underneath, so every transport
-// speaks the identical versioned format and the supervisor never learns
-// which kind of wire a worker is behind ("a dead host is a dead worker
-// writ large" — DESIGN.md S21, now literal).
+// is that seam: frames in (a batch per write), frames out, with the
+// FrameBuffer reassembly and corrupt-stream poisoning from wire.h
+// underneath, so every transport speaks the identical versioned format
+// and the supervisor never learns which kind of wire a worker is behind
+// ("a dead host is a dead worker writ large" — DESIGN.md S21, now
+// literal).
 //
 //   FdTransport     pipes (distinct read/write fds) and sockets (one fd
 //                   for both). Read side is non-blocking + FrameBuffer;
@@ -16,17 +17,20 @@
 //                   byte-at-a-time delivery, mid-frame disconnects, stalls
 //                   past heartbeat age, duplicated terminal frames. Faults
 //                   are rolled per frame index from a splitmix64 stream,
-//                   so a given (seed, plan) misbehaves reproducibly.
+//                   so a given (seed, plan) misbehaves reproducibly, and
+//                   an outbound fault can land inside a multi-frame write.
 //
 // Poll integration: poll_fd() exposes the readable fd so the supervisor
 // multiplexes any number of transports with the one poll() loop it always
 // had; pump() drains whatever arrived, next() yields reassembled frames.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "core/shard/wire.h"
@@ -37,9 +41,15 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// Writes one frame. False = peer unreachable (treated by callers as a
-  /// worker/supervisor death, never an exception).
-  virtual bool send(const Frame& frame) = 0;
+  /// Writes `frames` back to back, in order, in one write where the wire
+  /// allows: several whole frames per write are a legal stream (the peer's
+  /// FrameBuffer splits them). False = peer unreachable (treated by callers
+  /// as a worker/supervisor death, never an exception); frames of a failed
+  /// batch may or may not have arrived.
+  virtual bool send_frames(std::span<const Frame> frames) = 0;
+
+  /// The one-frame case of send_frames.
+  bool send(const Frame& frame) { return send_frames({&frame, 1}); }
 
   /// Readable fd for poll() multiplexing; -1 once closed.
   virtual int poll_fd() const = 0;
@@ -83,7 +93,7 @@ class FdTransport : public Transport {
   FdTransport(const FdTransport&) = delete;
   FdTransport& operator=(const FdTransport&) = delete;
 
-  bool send(const Frame& frame) override;
+  bool send_frames(std::span<const Frame> frames) override;
   int poll_fd() const override { return read_fd_; }
   bool pump() override;
   bool next(Frame& out) override { return inbuf_.next(out); }
@@ -111,12 +121,16 @@ class FdTransport : public Transport {
 
 /// Faults that actually fired. Tests share one via FaultPlan::counts to
 /// assert a chaos run was not vacuous — the transport itself dies with
-/// the supervisor, so its own tally is unreadable after a run.
+/// the supervisor, so its own tally is unreadable after a run. Atomic:
+/// transports on several worker threads may share one tally.
 struct FaultCounts {
-  std::uint64_t short_writes = 0;
-  std::uint64_t disconnects = 0;
-  std::uint64_t stalls = 0;
-  std::uint64_t duplicates = 0;
+  std::atomic<std::uint64_t> short_writes{0};
+  std::atomic<std::uint64_t> disconnects{0};
+  /// Disconnects that cut a multi-frame write after at least one whole
+  /// frame of it had gone out (the batch's tail is lost mid-write).
+  std::atomic<std::uint64_t> mid_batch_disconnects{0};
+  std::atomic<std::uint64_t> stalls{0};
+  std::atomic<std::uint64_t> duplicates{0};
 };
 
 /// Deterministic wire-chaos decorator for the network failure-matrix
@@ -129,8 +143,9 @@ struct FaultPlan {
   std::shared_ptr<FaultCounts> counts;
   /// Outbound: deliver the frame's bytes in small scattered writes.
   double short_write_probability = 0.0;
-  /// Outbound: write roughly half the frame, then close both directions
-  /// mid-frame — the peer sees a truncated stream (EOF or poisoning).
+  /// Outbound: write the batch's frames before this one and roughly half
+  /// of this one, then close both directions mid-frame — the peer sees a
+  /// truncated stream (EOF or poisoning).
   double disconnect_probability = 0.0;
   /// Inbound (rolled per received frame, so it triggers amid the steady
   /// heartbeat stream): go silent in BOTH directions for stall_duration —
@@ -151,7 +166,7 @@ class FaultyTransport : public FdTransport {
   FaultyTransport(int read_fd, int write_fd, const FaultPlan& plan,
                   std::uint32_t max_payload = kMaxShardFramePayload);
 
-  bool send(const Frame& frame) override;
+  bool send_frames(std::span<const Frame> frames) override;
   bool pump() override;
   bool next(Frame& out) override;
 

@@ -127,20 +127,28 @@ bool read_frame(int fd, Frame& out, std::uint32_t max_payload) {
   return length == 0 || read_all(fd, out.payload.data(), length);
 }
 
+void FrameBuffer::append(const char* data, std::size_t n) {
+  buffer_.erase(0, consumed_);
+  consumed_ = 0;
+  buffer_.append(data, n);
+}
+
 bool FrameBuffer::next(Frame& out) {
-  if (corrupt_ || buffer_.size() < kHeaderBytes) {
+  const std::size_t available = buffer_.size() - consumed_;
+  if (corrupt_ || available < kHeaderBytes) {
     return false;
   }
+  const char* head = buffer_.data() + consumed_;
   std::uint32_t length = 0;
-  if (!parse_header(buffer_.data(), out.type, length, max_payload_)) {
+  if (!parse_header(head, out.type, length, max_payload_)) {
     corrupt_ = true;
     return false;
   }
-  if (buffer_.size() < kHeaderBytes + length) {
+  if (available < kHeaderBytes + length) {
     return false;
   }
-  out.payload.assign(buffer_, kHeaderBytes, length);
-  buffer_.erase(0, kHeaderBytes + length);
+  out.payload.assign(head + kHeaderBytes, length);
+  consumed_ += kHeaderBytes + length;
   return true;
 }
 

@@ -25,6 +25,9 @@
 //              is the supervisor's hang detector (a SIGSTOPped worker stops
 //              beating and gets killed + migrated).
 //
+// Several whole frames may share one write (workers batch their kTrial
+// frames): the stream is the same frames back to back either way.
+//
 // All reads/writes are EINTR-safe full-buffer loops; FrameBuffer
 // incrementally reassembles frames from a non-blocking fd so the
 // supervisor can multiplex every worker with one poll() loop.
@@ -181,7 +184,10 @@ class FrameBuffer {
   explicit FrameBuffer(std::uint32_t max_payload = kMaxFramePayload)
       : max_payload_(max_payload) {}
 
-  void append(const char* data, std::size_t n) { buffer_.append(data, n); }
+  /// Drops the frames next() already returned, then appends `data`: one
+  /// move per append, not one per frame, so draining a buffer of many
+  /// batched frames stays linear in its size.
+  void append(const char* data, std::size_t n);
 
   /// Extracts the next complete frame. Returns false when more bytes are
   /// needed. A corrupt header (bad magic/version, or a payload length over
@@ -193,6 +199,7 @@ class FrameBuffer {
 
  private:
   std::string buffer_;
+  std::size_t consumed_ = 0;  ///< leading bytes of buffer_ already returned as frames.
   std::uint32_t max_payload_;
   bool corrupt_ = false;
 };

@@ -7,6 +7,7 @@
 #include <csignal>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "core/shard/wire.h"
 
@@ -14,27 +15,65 @@ namespace hwsec::core::shard {
 
 namespace {
 
+/// kTrial frames per coalesced write. Each write is a syscall and one
+/// wake of the supervisor's poll(); a batch spreads both over this many
+/// trials. Not a setting: the heartbeat flush already bounds how long a
+/// finished trial can wait, whatever the batch size.
+constexpr std::size_t kTrialFramesPerWrite = 32;
+
 /// Serializes frame writes from the trial loop and the heartbeat thread
-/// onto one transport. Frames are small, but interleaved partial writes
-/// would corrupt the stream, so every write holds the lock for the full
-/// frame.
+/// onto one transport, and coalesces kTrial frames into batches. The
+/// pending batch leaves in one transport write:
+///  * when it holds kTrialFramesPerWrite frames;
+///  * at once when a record is not ok (fail-fast latency is unchanged);
+///  * ahead of any other frame, in the same write: before kShardDone, and
+///    with every kHeartbeat, so no finished trial waits longer than one
+///    heartbeat_interval.
+/// Each write holds the lock for the whole batch, so the two threads never
+/// interleave partial frames. After one failed write every later call
+/// fails at once: the peer is gone.
 class FrameWriter {
  public:
-  explicit FrameWriter(Transport& transport) : transport_(transport) {}
+  explicit FrameWriter(Transport& transport) : transport_(transport) {
+    pending_.reserve(kTrialFramesPerWrite);
+  }
 
+  bool trial(const TrialPayload& trial) {
+    std::string payload = encode_trial(trial);
+    std::lock_guard<std::mutex> lock(mutex_);
+    pending_.push_back(Frame{FrameType::kTrial, std::move(payload)});
+    if (pending_.size() < kTrialFramesPerWrite && trial.record.ok) {
+      return !failed_;
+    }
+    return flush_locked();
+  }
+
+  /// Sends the pending batch with one more frame at its end.
   bool send(FrameType type, std::string payload = {}) {
     std::lock_guard<std::mutex> lock(mutex_);
-    return transport_.send(Frame{type, std::move(payload)});
+    pending_.push_back(Frame{type, std::move(payload)});
+    return flush_locked();
   }
 
  private:
+  bool flush_locked() {
+    if (!failed_ && !transport_.send_frames(pending_)) {
+      failed_ = true;
+    }
+    pending_.clear();
+    return !failed_;
+  }
+
   Transport& transport_;
   std::mutex mutex_;
+  std::vector<Frame> pending_;
+  bool failed_ = false;
 };
 
-/// Background liveness beacon. Joinable and stopped before the worker
-/// exits normally; when the worker SIGKILLs itself the thread dies with
-/// the process, which is exactly the silence the supervisor listens for.
+/// Background liveness beacon; each beat also carries out the pending
+/// trial batch. Joinable and stopped before the worker exits normally;
+/// when the worker SIGKILLs itself the thread dies with the process, which
+/// is exactly the silence the supervisor listens for.
 class HeartbeatThread {
  public:
   HeartbeatThread(FrameWriter& writer, std::chrono::milliseconds interval)
@@ -100,9 +139,10 @@ int worker_loop(Transport& transport, const WorkerEnv& env, const TrialRunner& r
         continue;  // restored from checkpoint; never re-run finished trials.
       }
       // Seeded self-fault BEFORE the trial: the crash loses this trial's
-      // result (it was never reported), forcing the supervisor down the
-      // migrate-and-retry path. Keyed by assignment attempt, so the retry
-      // rolls fresh dice and the campaign converges.
+      // result and the unsent batch before it (never reported), forcing
+      // the supervisor down the migrate-and-retry path. Keyed by
+      // assignment attempt, so the retry rolls fresh dice and the campaign
+      // converges.
       const WorkerFault fault =
           ChaosInjector(env.chaos, static_cast<std::size_t>(index), assign.attempt + 1)
               .roll_worker_fault();
@@ -114,7 +154,7 @@ int worker_loop(Transport& transport, const WorkerEnv& env, const TrialRunner& r
       TrialPayload trial;
       trial.index = index;
       trial.record = run_trial(static_cast<std::size_t>(index));
-      if (!writer.send(FrameType::kTrial, encode_trial(trial))) {
+      if (!writer.trial(trial)) {
         return 3;  // supervisor gone; nothing left to report to.
       }
     }

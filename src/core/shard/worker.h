@@ -4,13 +4,17 @@
 // worker_loop(): read an assignment frame, execute the shard's trials in
 // index order (skipping indices the done-bitmap marks as restored from
 // checkpoint), stream one kTrial frame back per completed trial, announce
-// kShardDone, repeat until kShutdown or pipe EOF. Each worker owns its own
-// MachinePool and WallClockMonitor — processes share nothing but pipes, so
-// a worker crash can corrupt nothing outside its own address space.
+// kShardDone, repeat until kShutdown or pipe EOF. Trial frames leave in
+// batches, several whole frames per write (flush rules in worker.cpp and
+// DESIGN.md S21); the bytes on the wire are the same frames either way.
+// Each worker owns its own MachinePool and WallClockMonitor — processes
+// share nothing but pipes, so a worker crash can corrupt nothing outside
+// its own address space.
 //
 // A detached heartbeat thread writes kHeartbeat frames every
-// heartbeat_interval; the supervisor's hang detector keys off their age
-// (a SIGSTOPped or wedged worker stops beating and is killed + migrated).
+// heartbeat_interval, each behind the pending trial batch; the
+// supervisor's hang detector keys off their age (a SIGSTOPped or wedged
+// worker stops beating and is killed + migrated).
 //
 // Worker-kill chaos: before each trial the worker rolls
 // ChaosInjector::roll_worker_fault() keyed by (chaos seed, trial index,

@@ -10,12 +10,14 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/machine_pool.h"
@@ -165,6 +167,43 @@ TEST(Wire, BadMagicAndVersionPoisonTheStream) {
   }
 }
 
+TEST(Wire, BatchedFramesSplitInOrderAtAnyChunkSize) {
+  // A worker's batch is whole frames back to back in one write; the reader
+  // may see it cut anywhere. Every cut yields the same frames in order,
+  // and a corrupt header after them still poisons the stream.
+  std::string stream;
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    shard::TrialPayload trial;
+    trial.index = i;
+    trial.record.ok = true;
+    trial.record.payload = std::string(static_cast<std::size_t>(i % 9), static_cast<char>(i));
+    stream += shard::encode_frame({shard::FrameType::kTrial, shard::encode_trial(trial)});
+  }
+  std::string bad = shard::encode_frame({shard::FrameType::kHeartbeat, {}});
+  bad[0] ^= 0x01;
+  stream += bad;
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{64},
+                                  std::size_t{4096}}) {
+    shard::FrameBuffer buf;
+    std::uint64_t expected = 0;
+    for (std::size_t off = 0; off < stream.size(); off += chunk) {
+      buf.append(stream.data() + off, std::min(chunk, stream.size() - off));
+      shard::Frame out;
+      while (buf.next(out)) {
+        ASSERT_EQ(out.type, shard::FrameType::kTrial) << "chunk " << chunk;
+        shard::TrialPayload got;
+        ASSERT_TRUE(shard::decode_trial(out.payload, got)) << "chunk " << chunk;
+        ASSERT_EQ(got.index, expected) << "chunk " << chunk;
+        EXPECT_EQ(got.record.payload,
+                  std::string(static_cast<std::size_t>(expected % 9), static_cast<char>(expected)));
+        expected += 1;
+      }
+    }
+    EXPECT_EQ(expected, 40u) << "chunk " << chunk;
+    EXPECT_TRUE(buf.corrupt()) << "chunk " << chunk;
+  }
+}
+
 TEST(Wire, TruncatedFrameWaitsForMoreBytesThenCompletes) {
   shard::TrialPayload trial;
   trial.index = 9;
@@ -298,6 +337,31 @@ TEST(Shard, MachinePoolBodyBitIdenticalAcrossProcesses) {
   for (std::size_t i = 0; i < want.size(); ++i) {
     ASSERT_TRUE(got[i].ok()) << "slot " << i;
     EXPECT_EQ(got[i].value(), want[i].value()) << "slot " << i;
+  }
+}
+
+TEST(Shard, HealthyCampaignsNeverSplitOrDuplicate) {
+  // Paced trials, so shards overlap in time the way real trials do: the
+  // first worker to go idle finds the other mid-shard. Nothing stalls, so
+  // nothing may be split off and re-run.
+  const core::CampaignConfig cfg{.seed = 4242, .trials = 400, .workers = 1};
+  const auto want = reference_run(cfg);
+  const std::function<Fingerprint(const core::TrialContext&)> paced =
+      [](const core::TrialContext& ctx) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        return kFingerprintBody(ctx);
+      };
+  for (const unsigned processes : {2u, 4u}) {
+    core::shard::ShardConfig shard_cfg;
+    shard_cfg.processes = processes;
+    core::shard::ShardStats stats;
+    const auto got =
+        core::run_campaign<Fingerprint>(with(cfg, {}, shard_cfg), paced, &stats);
+    const std::string label = "processes=" + std::to_string(processes);
+    expect_bit_identical(got, want, label);
+    EXPECT_EQ(stats.migrations, 0u) << label;
+    EXPECT_EQ(stats.duplicate_trials, 0u) << label;
+    EXPECT_EQ(stats.trials_executed, cfg.trials) << label;
   }
 }
 

@@ -18,13 +18,17 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <future>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,6 +41,7 @@
 #include "core/shard/supervisor.h"
 #include "core/shard/transport.h"
 #include "core/shard/wire.h"
+#include "core/shard/worker.h"
 #include "sim/rng.h"
 
 namespace core = hwsec::core;
@@ -769,6 +774,354 @@ TEST(NetFault, MixedLocalProcessesAndThreadHostsStayBitIdentical) {
   expect_identical(got, want, "three-thread-hosts");
   EXPECT_EQ(stats.remote_workers, 3u);
   EXPECT_EQ(stats.trials_executed, spec.trials);
+}
+
+// ---- batched trial frames (a worker_loop driven by the test) ------------
+
+/// Transport decorator that counts writes (send_frames calls) and logs the
+/// trial index of every kTrial frame that went out, in write order;
+/// everything else forwards to the wrapped transport.
+class CountingTransport : public shard::Transport {
+ public:
+  explicit CountingTransport(std::unique_ptr<shard::Transport> inner)
+      : inner_(std::move(inner)) {}
+
+  bool send_frames(std::span<const shard::Frame> frames) override {
+    const bool sent = inner_->send_frames(frames);
+    std::lock_guard<std::mutex> lock(mutex_);
+    writes_ += 1;
+    for (const shard::Frame& frame : frames) {
+      shard::TrialPayload trial;
+      if (frame.type == shard::FrameType::kTrial && shard::decode_trial(frame.payload, trial)) {
+        sent_trials_.push_back(trial.index);
+      }
+    }
+    return sent;
+  }
+  int poll_fd() const override { return inner_->poll_fd(); }
+  bool pump() override { return inner_->pump(); }
+  bool next(shard::Frame& out) override { return inner_->next(out); }
+  bool corrupt() const override { return inner_->corrupt(); }
+  void shutdown_writes() override { inner_->shutdown_writes(); }
+  void close() override { inner_->close(); }
+  std::string describe() const override { return "counting:" + inner_->describe(); }
+
+  std::uint64_t writes() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return writes_;
+  }
+  std::vector<std::uint64_t> sent_trials() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return sent_trials_;
+  }
+
+ private:
+  std::unique_ptr<shard::Transport> inner_;
+  mutable std::mutex mutex_;
+  std::uint64_t writes_ = 0;
+  std::vector<std::uint64_t> sent_trials_;
+};
+
+/// A shard worker_loop in a thread behind a CountingTransport; the test is
+/// its supervisor on the other end of a socketpair.
+class LoopUnderTest {
+ public:
+  LoopUnderTest() {
+    int sv[2];
+    if (socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
+      ADD_FAILURE() << "socketpair failed";
+      return;
+    }
+    supervisor_ = std::make_unique<shard::FdTransport>(sv[0], sv[0]);
+    worker_ =
+        std::make_unique<CountingTransport>(std::make_unique<shard::FdTransport>(sv[1], sv[1]));
+  }
+  ~LoopUnderTest() {
+    if (thread_.joinable()) {
+      supervisor_->send({shard::FrameType::kShutdown, {}});
+      thread_.join();
+    }
+  }
+
+  void start(shard::WorkerEnv env, shard::TrialRunner runner) {
+    thread_ = std::thread([this, env, runner = std::move(runner)] {
+      exit_code_ = shard::worker_loop(*worker_, env, runner);
+    });
+  }
+
+  void assign(std::uint64_t shard_id, std::uint64_t begin, std::uint64_t end) {
+    shard::AssignPayload assign;
+    assign.shard_id = shard_id;
+    assign.begin = begin;
+    assign.end = end;
+    ASSERT_TRUE(supervisor_->send({shard::FrameType::kAssign, shard::encode_assign(assign)}));
+  }
+
+  /// The next kTrial or kShardDone frame (heartbeats skipped).
+  bool next_result(shard::Frame& out) {
+    while (supervisor_->recv_blocking(out, std::chrono::milliseconds(10000))) {
+      if (out.type != shard::FrameType::kHeartbeat) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// Shuts the loop down and returns its exit code.
+  int finish() {
+    supervisor_->send({shard::FrameType::kShutdown, {}});
+    thread_.join();
+    return exit_code_;
+  }
+
+  const CountingTransport& worker() const { return *worker_; }
+
+ private:
+  std::unique_ptr<shard::FdTransport> supervisor_;
+  std::unique_ptr<CountingTransport> worker_;
+  std::thread thread_;
+  int exit_code_ = -1;
+};
+
+core::CheckpointRecord ok_record(std::size_t index) {
+  core::CheckpointRecord rec;
+  rec.ok = true;
+  rec.payload = std::string(8, static_cast<char>(index));
+  return rec;
+}
+
+TEST(NetBatch, ShardTrialsShareWritesAndMergeInIndexOrder) {
+  LoopUnderTest loop;
+  shard::WorkerEnv env;
+  env.heartbeat_interval = std::chrono::milliseconds(0);  // count trial writes only.
+  loop.start(env, ok_record);
+  loop.assign(/*shard_id=*/9, 0, 256);
+  shard::Frame frame;
+  for (std::uint64_t i = 0; i < 256; ++i) {
+    ASSERT_TRUE(loop.next_result(frame)) << "trial " << i;
+    ASSERT_EQ(frame.type, shard::FrameType::kTrial) << "trial " << i;
+    shard::TrialPayload trial;
+    ASSERT_TRUE(shard::decode_trial(frame.payload, trial));
+    ASSERT_EQ(trial.index, i);
+    EXPECT_EQ(trial.record.payload, ok_record(i).payload);
+  }
+  ASSERT_TRUE(loop.next_result(frame));
+  ASSERT_EQ(frame.type, shard::FrameType::kShardDone);
+  std::uint64_t shard_id = 0;
+  ASSERT_TRUE(shard::decode_shard_done(frame.payload, shard_id));
+  EXPECT_EQ(shard_id, 9u);
+  EXPECT_EQ(loop.finish(), 0);
+  // worker.cpp batches 32 kTrial frames per write: 256 trials are 8 full
+  // batches, kShardDone rides with the last one or alone, plus one spare.
+  EXPECT_LE(loop.worker().writes(), 256u / 32u + 2u);
+  EXPECT_EQ(loop.worker().sent_trials().size(), 256u);
+}
+
+TEST(NetBatch, FailedRecordIsWrittenBeforeTheNextTrialRuns) {
+  LoopUnderTest loop;
+  shard::WorkerEnv env;
+  env.heartbeat_interval = std::chrono::milliseconds(0);  // no flush but the fail-fast one.
+  std::atomic<bool> failure_out_before_next{false};
+  loop.start(env, [&loop, &failure_out_before_next](std::size_t index) {
+    if (index == 6) {
+      const auto sent = loop.worker().sent_trials();
+      failure_out_before_next = std::find(sent.begin(), sent.end(), 5u) != sent.end();
+    }
+    if (index != 5) {
+      return ok_record(index);
+    }
+    core::CheckpointRecord rec;
+    rec.ok = false;
+    rec.kind = static_cast<std::uint8_t>(ErrorKind::kGuestFault);
+    rec.detail = "trial 5 failed";
+    return rec;
+  });
+  loop.assign(/*shard_id=*/1, 0, 10);
+  shard::Frame frame;
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    ASSERT_TRUE(loop.next_result(frame)) << "trial " << i;
+    shard::TrialPayload trial;
+    ASSERT_TRUE(shard::decode_trial(frame.payload, trial));
+    ASSERT_EQ(trial.index, i);
+    EXPECT_EQ(trial.record.ok, i != 5) << "trial " << i;
+  }
+  ASSERT_TRUE(loop.next_result(frame));
+  EXPECT_EQ(frame.type, shard::FrameType::kShardDone);
+  EXPECT_EQ(loop.finish(), 0);
+  EXPECT_TRUE(failure_out_before_next.load());
+}
+
+TEST(NetBatch, HeartbeatCarriesOutAPartialBatch) {
+  // Trial 3 blocks until the supervisor end holds trials 0..2. Nothing but
+  // the heartbeat thread can send them: the batch is far from full and
+  // every record is ok.
+  LoopUnderTest loop;
+  shard::WorkerEnv env;
+  env.heartbeat_interval = std::chrono::milliseconds(5);
+  std::promise<void> first_three_arrived;
+  std::shared_future<void> arrived = first_three_arrived.get_future().share();
+  std::atomic<bool> released_in_time{false};
+  loop.start(env, [arrived, &released_in_time](std::size_t index) {
+    if (index == 3) {
+      released_in_time =
+          arrived.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+    }
+    return ok_record(index);
+  });
+  loop.assign(/*shard_id=*/2, 0, 6);
+  shard::Frame frame;
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    ASSERT_TRUE(loop.next_result(frame)) << "trial " << i;
+    shard::TrialPayload trial;
+    ASSERT_TRUE(shard::decode_trial(frame.payload, trial));
+    ASSERT_EQ(trial.index, i);
+    if (i == 2) {
+      first_three_arrived.set_value();
+    }
+  }
+  ASSERT_TRUE(loop.next_result(frame));
+  EXPECT_EQ(frame.type, shard::FrameType::kShardDone);
+  EXPECT_EQ(loop.finish(), 0);
+  EXPECT_TRUE(released_in_time.load());
+}
+
+// ---- straggler splits: only on stalled progress -------------------------
+
+TEST(NetStraggler, HealthyTwoHostFleetNeverSplitsOrDuplicates) {
+  auto spec = mix_spec(0x4EA1, 210);
+  spec.trial_delay_us = 300;  // shards overlap in time, as real trials do.
+  const auto want = reference_run(spec);
+  ThreadFleet fleet;
+  shard::ShardConfig cfg;
+  cfg.processes = 0;
+  cfg.hosts = fake_hosts(2);
+  cfg.shard_size = 30;  // 7 shards: one host idles while the other runs the last.
+  cfg.dialer = thread_worker_dialer(fleet);
+  shard::ShardStats stats;
+  const auto got = run_sharded_spec(spec, cfg, &stats);
+  fleet.join();
+  expect_identical(got, want, "healthy-fleet");
+  EXPECT_EQ(stats.remote_workers, 2u);
+  EXPECT_EQ(stats.migrations, 0u);
+  EXPECT_EQ(stats.duplicate_trials, 0u);
+  EXPECT_EQ(stats.trials_executed, spec.trials);
+}
+
+/// A dialer like thread_worker_dialer whose FIRST worker sleeps `delay`
+/// before each trial: a live worker (its heartbeats keep flowing) whose
+/// trials stall past the straggler threshold. Later dials are prompt.
+std::function<std::unique_ptr<shard::Transport>(const shard::HostSpec&, std::string&)>
+slow_first_worker_dialer(ThreadFleet& fleet, std::chrono::milliseconds delay) {
+  auto dials = std::make_shared<unsigned>(0);
+  return [&fleet, delay, dials](const shard::HostSpec&,
+                                std::string& error) -> std::unique_ptr<shard::Transport> {
+    int sv[2];
+    if (socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
+      error = "socketpair failed";
+      return nullptr;
+    }
+    const bool slow = (*dials)++ == 0;
+    std::lock_guard<std::mutex> lock(fleet.mutex);
+    fleet.threads.emplace_back([fd = sv[1], slow, delay] {
+      // serve_supervisor's session, with the trial runner wrapped.
+      shard::FdTransport transport(fd, fd);
+      shard::HelloPayload hello;
+      hello.worker_name = slow ? "slow" : "prompt";
+      shard::WelcomePayload welcome;
+      std::string err;
+      service::CampaignSpec spec;
+      if (!shard::handshake_connect(transport, hello, std::chrono::milliseconds(2000), welcome,
+                                    err) ||
+          !service::decode_spec(welcome.spec_json, spec, err)) {
+        return;
+      }
+      core::ResilienceConfig res;
+      res.chaos = welcome.chaos;
+      const shard::TrialRunner runner =
+          core::detail::make_trial_runner<service::ServiceTrialResult>(
+              spec.seed, service::spec_resilience(spec, res), service::make_trial_body(spec));
+      shard::WorkerEnv env;
+      env.heartbeat_interval = std::chrono::milliseconds(welcome.heartbeat_ms);
+      shard::worker_loop(transport, env, [&runner, slow, delay](std::size_t index) {
+        if (slow) {
+          std::this_thread::sleep_for(delay);
+        }
+        return runner(index);
+      });
+    });
+    return std::make_unique<shard::FdTransport>(sv[0], sv[0]);
+  };
+}
+
+TEST(NetStraggler, StalledWorkerTailIsSplitAndStaysBitIdentical) {
+  const auto spec = mix_spec(0x510E, 16);
+  const auto want = reference_run(spec);
+  ThreadFleet fleet;
+  shard::ShardConfig cfg;
+  cfg.processes = 0;
+  cfg.hosts = fake_hosts(2);
+  cfg.shard_size = 8;  // one shard each; the slow worker's is the straggler.
+  cfg.heartbeat_interval = std::chrono::milliseconds(10);  // stall threshold 40 ms.
+  cfg.dialer = slow_first_worker_dialer(fleet, std::chrono::milliseconds(80));
+  shard::ShardStats stats;
+  const auto got = run_sharded_spec(spec, cfg, &stats);
+  fleet.join();
+  expect_identical(got, want, "stalled-worker");
+  EXPECT_GT(stats.migrations, 0u) << "the stalled worker's tail was never split";
+  EXPECT_EQ(stats.worker_deaths, 0u);  // a split, not a hang kill.
+}
+
+/// A dialer whose in-thread workers speak through a FaultyTransport (the
+/// outbound faults hit the worker's batched trial writes). Heartbeats
+/// must be off in campaigns that use it: a disconnect rolled on the
+/// heartbeat thread would close the transport under the trial loop.
+std::function<std::unique_ptr<shard::Transport>(const shard::HostSpec&, std::string&)>
+faulty_worker_dialer(ThreadFleet& fleet, const shard::FaultPlan& plan) {
+  auto dials = std::make_shared<std::uint64_t>(0);
+  return [&fleet, plan, dials](const shard::HostSpec&,
+                               std::string& error) -> std::unique_ptr<shard::Transport> {
+    int sv[2];
+    if (socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
+      error = "socketpair failed";
+      return nullptr;
+    }
+    shard::FaultPlan session_plan = plan;
+    session_plan.seed = plan.seed + 1000 * (*dials)++;
+    std::lock_guard<std::mutex> lock(fleet.mutex);
+    fleet.threads.emplace_back([fd = sv[1], session_plan] {
+      shard::FaultyTransport transport(fd, fd, session_plan);
+      shard::HelloPayload hello;
+      hello.worker_name = "faulty-thread";
+      std::string err;
+      service::serve_supervisor(transport, hello, std::chrono::milliseconds(2000), err);
+    });
+    return std::make_unique<shard::FdTransport>(sv[0], sv[0]);
+  };
+}
+
+TEST(NetFault, MidBatchDisconnectMigratesTheUnsentTail) {
+  const auto spec = mix_spec(0xBA7C4, 192);
+  const auto want = reference_run(spec);
+  ThreadFleet fleet;
+  shard::FaultPlan plan;
+  plan.seed = 21;
+  plan.disconnect_probability = 0.02;  // ~1 in 50 outbound frames: most land mid-batch.
+  plan.counts = std::make_shared<shard::FaultCounts>();
+  shard::ShardConfig cfg;
+  cfg.processes = 0;
+  cfg.hosts = fake_hosts(2);
+  cfg.shard_size = 64;
+  cfg.heartbeat_interval = std::chrono::milliseconds(0);
+  cfg.max_reconnects = 32;
+  cfg.reconnect_backoff = std::chrono::milliseconds(1);
+  cfg.dialer = faulty_worker_dialer(fleet, plan);
+  shard::ShardStats stats;
+  const auto got = run_sharded_spec(spec, cfg, &stats);
+  fleet.join();
+  expect_identical(got, want, "mid-batch-disconnect");
+  EXPECT_GT(plan.counts->mid_batch_disconnects, 0u) << "no disconnect cut a batch; vacuous";
+  EXPECT_GT(stats.worker_deaths, 0u);
+  EXPECT_GT(stats.migrations, 0u);
 }
 
 // ---- real TCP loopback, forked workers (filtered out under TSan) --------
