@@ -338,17 +338,17 @@ std::vector<TrialOutcome<Result>> run_in_process(
     // The supervised path's books for the plan it would have cut: shards
     // holding a slot not restored from checkpoint, and fresh executions.
     *stats = shard::ShardStats{};
-    const std::size_t shard_size = shard::planned_shard_size(config.shard, config.trials);
-    std::size_t counted_shard = config.trials;  // no shard counted yet.
-    for (std::size_t i = 0; i < config.trials; ++i) {
-      if (outcomes[i].from_checkpoint) {
-        continue;
+    for (std::size_t begin = 0, end = 0; begin < config.trials; begin = end) {
+      end = shard::shard_end(config.shard, config.trials, begin);
+      bool counted = false;
+      for (std::size_t i = begin; i < end; ++i) {
+        if (outcomes[i].from_checkpoint) {
+          continue;
+        }
+        stats->trials_executed += outcomes[i].skipped ? 0 : 1;
+        counted = true;
       }
-      stats->trials_executed += outcomes[i].skipped ? 0 : 1;
-      if (i / shard_size != counted_shard) {
-        counted_shard = i / shard_size;
-        stats->shards_total += 1;
-      }
+      stats->shards_total += counted ? 1 : 0;
     }
   }
   if (tripped.load()) {

@@ -19,13 +19,16 @@
 
 namespace hwsec::core::shard {
 
-std::size_t planned_shard_size(const ShardConfig& config, std::size_t trials) {
-  if (config.shard_size != 0) {
-    return config.shard_size;
-  }
+std::size_t shard_end(const ShardConfig& config, std::size_t trials, std::size_t begin) {
   const std::size_t fan_out = static_cast<std::size_t>(config.processes) + config.hosts.size();
-  return fan_out == 0 ? std::max<std::size_t>(1, trials)
-                      : std::max<std::size_t>(1, trials / (fan_out * 4));
+  std::size_t size = config.shard_size;
+  if (size == 0) {
+    const std::size_t left = trials - std::min(begin, trials);
+    size = fan_out == 0 ? left
+                        : std::max((left + 2 * fan_out - 1) / (2 * fan_out),
+                                   (trials + 32 * fan_out - 1) / (32 * fan_out));
+  }
+  return std::min(trials, begin + std::max<std::size_t>(1, size));
 }
 
 namespace detail_shard {
@@ -180,13 +183,15 @@ class Supervisor {
     }
     listen_deadline_ = Clock::now() + config_.listen_grace;
 
+    // Work goes out before each wait, so a fresh or revived worker finds
+    // its shard in the pipe instead of waiting for the next event.
     while (!done() && !should_stop()) {
+      migrate_stragglers();
+      assign_work();
       pump_events();
       reap_exits();
       detect_hangs();
       revive_dead();
-      assign_work();
-      migrate_stragglers();
     }
 
     shutdown_fleet();
@@ -214,10 +219,9 @@ class Supervisor {
   }
 
   void plan_shards() {
-    const std::size_t shard_size = planned_shard_size(config_, job_.trials);
     std::uint64_t next_id = 0;
-    for (std::size_t begin = 0; begin < job_.trials; begin += shard_size) {
-      const std::size_t end = std::min(job_.trials, begin + shard_size);
+    for (std::size_t begin = 0, end = 0; begin < job_.trials; begin = end) {
+      end = shard_end(config_, job_.trials, begin);
       // Skip shards whose every trial is already restored from checkpoint.
       bool has_pending = false;
       for (std::size_t i = begin; i < end && !has_pending; ++i) {

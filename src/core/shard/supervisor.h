@@ -60,11 +60,10 @@ struct ShardConfig {
   /// 0 (default) forks nothing: with no hosts and no listener either, the
   /// campaign runs in-process on the thread pool.
   unsigned processes = 0;
-  /// Trials per shard. 0 = auto: spread the campaign so each worker sees
-  /// several shards (max(1, trials / (fan-out * 4))) — small enough that
-  /// a dead worker's migrated shard is cheap to redo, large enough to
-  /// amortize the assignment round trip. (Trial frames are batched by the
-  /// worker whatever the shard size.)
+  /// Trials per shard. 0 = auto: guided shards that shrink as the
+  /// campaign runs out (shard_end), so workers finish together instead of
+  /// one idling while another runs a big last shard. (Trial frames are
+  /// batched by the worker whatever the shard size.)
   std::size_t shard_size = 0;
   /// Worker heartbeat period (liveness beacons on the result pipe). Each
   /// beat also flushes the worker's pending trial batch, and a busy worker
@@ -131,15 +130,20 @@ struct ShardConfig {
   std::function<std::unique_ptr<Transport>(std::unique_ptr<Transport>)> transport_decorator;
 };
 
-/// Trials per shard for a campaign of `trials`: config.shard_size, or the
-/// auto size for the configured fan-out (processes + hosts).
-std::size_t planned_shard_size(const ShardConfig& config, std::size_t trials);
+/// End of the planned shard that starts at trial `begin` of a campaign of
+/// `trials`. config.shard_size cuts equal shards. Auto (0) with a fan-out
+/// of F = processes + hosts cuts guided shards: each takes 1/(2F) of the
+/// trials not yet planned, but no fewer than trials / (32F): the first
+/// shard is half of one worker's share, the last ones 1/32 of it, so all
+/// workers run out of work within a small shard of each other. With no
+/// fan-out the campaign is one shard.
+std::size_t shard_end(const ShardConfig& config, std::size_t trials, std::size_t begin);
 
 /// Recovery/scheduling telemetry for one run_campaign call (also exported
 /// as obs counters: shard_assignments, shard_migrations,
 /// shard_worker_respawns, shard_worker_deaths, shard_worker_hangs,
 /// shard_duplicate_trials, shard_fallback_trials). An in-process run
-/// fills only shards_total (the plan planned_shard_size cuts) and
+/// fills only shards_total (the plan shard_end cuts) and
 /// trials_executed; every fleet counter stays zero.
 struct ShardStats {
   std::uint64_t shards_total = 0;       ///< shards in the initial plan.

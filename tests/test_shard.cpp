@@ -287,6 +287,60 @@ TEST(Shard, BitIdenticalToInProcessAtEveryProcessCount) {
   }
 }
 
+TEST(Shard, AutoShardsShrinkTowardTheEndOfTheCampaign) {
+  // Guided sizes: each shard takes 1/(2F) of the trials left, never fewer
+  // than trials / (32F), so the plan stays short and its last shards small.
+  for (const std::size_t trials : {1u, 37u, 1448u, 23170u, 65536u}) {
+    for (const unsigned processes : {1u, 2u, 4u}) {
+      shard::ShardConfig cfg;
+      cfg.processes = processes;
+      const std::string label =
+          std::to_string(trials) + " trials, processes=" + std::to_string(processes);
+      std::vector<std::size_t> sizes;
+      for (std::size_t begin = 0, end = 0; begin < trials; begin = end) {
+        end = shard::shard_end(cfg, trials, begin);
+        ASSERT_GT(end, begin) << label;
+        ASSERT_LE(end, trials) << label;
+        sizes.push_back(end - begin);
+      }
+      const std::size_t least = (trials + 32 * processes - 1) / (32 * processes);
+      EXPECT_EQ(sizes.front(), (trials + 2 * processes - 1) / (2 * processes)) << label;
+      EXPECT_TRUE(std::is_sorted(sizes.rbegin(), sizes.rend())) << label;
+      EXPECT_GE(sizes[sizes.size() > 1 ? sizes.size() - 2 : 0], std::min(least, trials)) << label;
+      EXPECT_LE(sizes.back(), least) << label;
+      EXPECT_LE(sizes.size(), 8u * processes) << label;
+    }
+  }
+  shard::ShardConfig fixed;
+  fixed.processes = 2;
+  fixed.shard_size = 5;
+  EXPECT_EQ(shard::shard_end(fixed, 37, 10), 15u);
+  EXPECT_EQ(shard::shard_end(fixed, 37, 35), 37u);
+  EXPECT_EQ(shard::shard_end(shard::ShardConfig{}, 37, 0), 37u);  // no fan-out: one shard.
+}
+
+TEST(Shard, FirstShardGoesOutBeforeTheSupervisorWaits) {
+  // With heartbeats off a fresh worker sends nothing until it holds a
+  // shard, so a supervisor that polled before assigning would sit out its
+  // whole 20 ms poll timeout at the start of every campaign.
+  const core::CampaignConfig cfg{.seed = 99, .trials = 1, .workers = 1};
+  core::shard::ShardConfig shard_cfg;
+  shard_cfg.processes = 1;
+  shard_cfg.heartbeat_interval = std::chrono::milliseconds(0);
+  shard_cfg.hang_timeout = std::chrono::milliseconds(0);
+  double fastest_ms = 1e9;
+  for (int run = 0; run < 5; ++run) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto got =
+        core::run_campaign<Fingerprint>(with(cfg, {}, shard_cfg), kFingerprintBody);
+    ASSERT_TRUE(got.at(0).ok());
+    fastest_ms = std::min(
+        fastest_ms,
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count());
+  }
+  EXPECT_LT(fastest_ms, 15.0) << "the first assignment waited for a poll timeout";
+}
+
 TEST(Shard, PoisonedTrialErrorCrossesTheProcessBoundaryIntact) {
   const core::CampaignConfig cfg{.seed = 66, .trials = 20, .workers = 1};
   const std::function<Fingerprint(const core::TrialContext&)> body =
